@@ -3,8 +3,9 @@
 //!
 //! Tests spawn one [`ChaosProxy`] per peer and hand rank 0 the proxy
 //! addresses instead of the real ones. The proxy forwards whole protocol
-//! frames (it understands the 4-byte length prefix and sniffs the JSON
-//! `"type"` field, nothing more) and consults a [`ChaosSchedule`] before
+//! frames (it reads them with [`photonn_wire::read_frame`], under the same
+//! size cap, and reads the header's `type` through `proto`'s header
+//! reader, nothing more) and consults a [`ChaosSchedule`] before
 //! forwarding each one. Because events are keyed on *(direction, message
 //! type, occurrence)* rather than raw frame counts, a schedule keeps
 //! targeting the same protocol moment even when recovery traffic (extra
@@ -29,7 +30,7 @@
 //!   heartbeat/timeout plumbing without approaching any deadline.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,6 +38,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use photonn_math::Rng;
+use photonn_wire::{read_frame, write_frame};
+
+use crate::proto;
 
 /// Which way a frame is travelling through the proxy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,7 +77,7 @@ pub struct ChaosEvent {
     /// Frame direction to match.
     pub direction: Direction,
     /// Protocol message type to match (`"step"`, `"grads"`, `"init"`, …),
-    /// as sniffed from the frame's JSON `"type"` field.
+    /// as read from the frame header's `type` field.
     pub message_type: String,
     /// Which matching frame fires the event, 0-based.
     pub occurrence: usize,
@@ -284,32 +288,10 @@ fn serve_connection(
     Ok(())
 }
 
-/// Reads one raw frame (length prefix + payload). `Ok(None)` means the
-/// stream closed cleanly at a frame boundary.
-fn read_raw_frame(src: &mut TcpStream) -> io::Result<Option<([u8; 4], Vec<u8>)>> {
-    let mut prefix = [0u8; 4];
-    match src.read(&mut prefix)? {
-        0 => return Ok(None),
-        n => src.read_exact(&mut prefix[n..])?,
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    let mut payload = vec![0u8; len];
-    src.read_exact(&mut payload)?;
-    Ok(Some((prefix, payload)))
-}
-
-/// Extracts the protocol message type from a frame's JSON payload. The
-/// proxy only needs the `"type"` field, so a substring scan is enough —
-/// no full JSON parse, no dependency on field order.
+/// The protocol message type of a frame payload, or `"unknown"` when its
+/// header does not parse.
 fn sniff_type(payload: &[u8]) -> String {
-    let text = String::from_utf8_lossy(payload);
-    if let Some(at) = text.find("\"type\":\"") {
-        let rest = &text[at + 8..];
-        if let Some(end) = rest.find('"') {
-            return rest[..end].to_string();
-        }
-    }
-    "unknown".to_string()
+    proto::message_type(payload).unwrap_or_else(|_| "unknown".to_string())
 }
 
 /// Forwards frames from `src` to `dst`, applying scheduled actions.
@@ -325,11 +307,12 @@ fn pump(
         let _ = b.shutdown(Shutdown::Both);
     };
     loop {
-        let (prefix, payload) = match read_raw_frame(&mut src) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => {
-                // One side hung up (or was severed by the other pump):
-                // propagate the close and retire.
+        let payload = match read_frame(&mut src) {
+            Ok(payload) => payload,
+            Err(_) => {
+                // One side hung up (or was severed by the other pump), or
+                // sent a torn or oversized frame: propagate the close and
+                // retire.
                 sever(&src, &dst);
                 return;
             }
@@ -347,7 +330,7 @@ fn pump(
                 return;
             }
             Some(ChaosAction::Truncate) => {
-                let _ = dst.write_all(&prefix);
+                let _ = dst.write_all(&(payload.len() as u32).to_le_bytes());
                 let _ = dst.write_all(&payload[..payload.len() / 2]);
                 sever(&src, &dst);
                 return;
@@ -358,7 +341,7 @@ fn pump(
                 return;
             }
         }
-        if dst.write_all(&prefix).is_err() || dst.write_all(&payload).is_err() {
+        if write_frame(&mut dst, &payload).is_err() {
             sever(&src, &dst);
             return;
         }
@@ -409,9 +392,76 @@ mod tests {
     }
 
     #[test]
+    fn oversized_length_prefix_severs_the_connection() {
+        // A prefix past MAX_FRAME_BYTES must close the connection at once
+        // instead of allocating the advertised length and waiting for it.
+        use std::io::Read;
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+        let proxy = ChaosProxy::spawn(
+            upstream.local_addr().unwrap().to_string(),
+            ChaosSchedule::passthrough(),
+        )
+        .expect("proxy");
+        let mut client = TcpStream::connect(proxy.addr()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let mut byte = [0u8; 1];
+        let got = client
+            .read(&mut byte)
+            .expect("the proxy closes, not stalls");
+        assert_eq!(got, 0, "connection closed");
+    }
+
+    #[test]
     fn type_sniffing_reads_the_json_type_field() {
-        assert_eq!(sniff_type(br#"{"type":"step","denom":8}"#), "step");
-        assert_eq!(sniff_type(br#"{"protocol":2,"type":"grads"}"#), "grads");
-        assert_eq!(sniff_type(b"not json at all"), "unknown");
+        use photonn_autodiff::MaskGrads;
+        use photonn_donn::DonnConfig;
+        use photonn_math::{CGrid, Grid};
+
+        // The step's mask bulk spells a grads header's type field in its
+        // bytes: only the header may decide the type.
+        let decoy: Vec<f64> = b"\"type\":\"grads\"\0\0"
+            .chunks(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let masks = vec![Grid::from_vec(1, 2, decoy)];
+        let cases = [
+            (
+                proto::Message::Init {
+                    config: DonnConfig::scaled(16),
+                    images: vec![Grid::zeros(16, 16)],
+                    labels: vec![3],
+                    freeze: None,
+                    heartbeat_ms: 20,
+                },
+                "init",
+            ),
+            (proto::Message::Ready, "ready"),
+            (proto::Message::Heartbeat, "heartbeat"),
+            (
+                proto::Message::Step {
+                    masks,
+                    shard: vec![0, 1],
+                    denom: 2,
+                },
+                "step",
+            ),
+            (
+                proto::Message::Grads(MaskGrads {
+                    wgrads: vec![CGrid::zeros(4, 4)],
+                    loss: f64::NAN,
+                    samples: 2,
+                }),
+                "grads",
+            ),
+            (proto::Message::Shutdown, "shutdown"),
+        ];
+        for (msg, want) in cases {
+            assert_eq!(sniff_type(&proto::encode(&msg)), want);
+        }
+        assert_eq!(sniff_type(b"not a frame at all"), "unknown");
+        assert_eq!(sniff_type(&[]), "unknown");
     }
 }

@@ -16,7 +16,7 @@
 //!        ▼        ▼            ▼
 //!    worker 0  worker 1 …  worker N−1     in-process threads, or rank 0 +
 //!    [tape 0]  [tape 1]    [tape N−1]     peer processes over loopback TCP
-//!        │        │            │          (bit-exact JSON frames)
+//!        │        │            │          (raw f64 planes, JSON header)
 //!        ▼        ▼            ▼
 //!     MaskGrads buffers (complex mask-space adjoints, global 1/B seeds)
 //!        └────────┴─────┬──────┘
@@ -45,9 +45,10 @@
 //!   produces bit-identical masks. (The scalar *loss* reported per epoch
 //!   is a diagnostic and only reassociation-equal: each shard folds its
 //!   own rows before the cross-shard sum.)
-//! * **Transport-invariant.** The wire codec round-trips every `f64` to
-//!   identical bits, so multi-process runs equal in-process runs at the
-//!   same worker count, bit for bit.
+//! * **Transport-invariant.** The wire ships every `f64` plane as its
+//!   little-endian bytes, so every value — NaN payloads and ±Inf included
+//!   — arrives as identical bits, and multi-process runs equal in-process
+//!   runs at the same worker count, bit for bit.
 //!
 //! [`MaskGrads::tree_reduce`]: photonn_autodiff::MaskGrads::tree_reduce
 //!

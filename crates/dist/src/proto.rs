@@ -1,27 +1,52 @@
-//! The rank-0 ↔ peer gradient protocol: JSON documents over
-//! length-prefixed frames ([`photonn_wire`]).
+//! The rank-0 ↔ peer gradient protocol over length-prefixed frames
+//! ([`photonn_wire`]).
 //!
 //! The protocol is deliberately session-oriented and chatty-once: an
 //! [`Message::Init`] handshake ships everything immutable — the full [`DonnConfig`]
 //! (so the peer rebuilds the identical propagation kernel), the training
 //! set, and any freeze masks — after which each step exchanges only the
 //! current phase masks and a shard's index list one way and a
-//! [`photonn_autodiff::MaskGrads`] buffer the other. Every `f64` travels
-//! through the shared JSON codec, whose shortest-roundtrip serialization
-//! parses back to identical bits — which is why a TCP shard reproduces an
+//! [`photonn_autodiff::MaskGrads`] buffer the other.
+//!
+//! ## Payload layout
+//!
+//! ```text
+//! u32 LE header length │ JSON header (UTF-8) │ bulk: raw f64 planes, LE
+//! ```
+//!
+//! The JSON header holds only the control fields; every `f64` plane
+//! travels in the bulk as its little-endian bytes, in message order:
+//!
+//! | `type` | other header fields | bulk |
+//! |---|---|---|
+//! | `init` | `protocol`, `heartbeat_ms`, `config`, `labels`, `images` (count), `freeze` (count, absent without freeze masks) | the images, then the freeze masks |
+//! | `step` | `denom`, `shard`, `masks` (count) | the masks |
+//! | `grads` | `samples`, `layers` (count) | the loss, then each layer's re plane and im plane |
+//! | `ready`, `heartbeat`, `shutdown` | — | empty |
+//!
+//! Bytes carry `f64` bits exactly by construction — NaN payloads, ±Inf,
+//! −0.0 and subnormals included — which is why a TCP shard reproduces an
 //! in-process shard *bit for bit* and the all-reduce stays deterministic
-//! across transports.
+//! across transports. [`decode`] treats a payload as outside input: the
+//! header length must fit inside the payload, the header must be UTF-8
+//! JSON, and the header's plane counts must account for the bulk byte for
+//! byte (checked arithmetic); anything else is an error naming the field.
 
 use photonn_autodiff::MaskGrads;
 use photonn_donn::{DetectorConfig, DonnConfig, LossKind, MaskInit};
 use photonn_math::{CGrid, Complex64, Grid};
 use photonn_optics::{DiffractionModel, Distances, Geometry, KernelOptions, Padding};
 use photonn_wire::Json;
+use std::slice::ChunksExact;
 
 /// Protocol revision; bumped on any wire-format change. The handshake
 /// rejects mismatches loudly instead of mis-parsing silently.
-/// (v2 added `heartbeat_ms` to `init` and the `heartbeat` message.)
-pub const PROTOCOL_VERSION: usize = 2;
+/// (v2 added `heartbeat_ms` to `init` and the `heartbeat` message; v3
+/// moved every `f64` plane out of the JSON into the binary bulk.)
+pub const PROTOCOL_VERSION: usize = 3;
+
+/// Bytes per `f64` in the bulk section.
+const F64_BYTES: usize = std::mem::size_of::<f64>();
 
 /// A message of the gradient protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,25 +93,39 @@ pub enum Message {
 
 // --------------------------------------------------------------- encoding
 
-fn grid_to_json(g: &Grid) -> Json {
-    Json::numbers(g.as_slice())
-}
-
-fn grids_to_json(gs: &[Grid]) -> Json {
-    Json::Arr(gs.iter().map(grid_to_json).collect())
-}
-
-fn cgrid_to_json(g: &CGrid) -> Json {
-    let re: Vec<f64> = g.as_slice().iter().map(|z| z.re).collect();
-    let im: Vec<f64> = g.as_slice().iter().map(|z| z.im).collect();
-    Json::object(vec![
-        ("re".into(), Json::numbers(&re)),
-        ("im".into(), Json::numbers(&im)),
-    ])
-}
-
 fn usizes_to_json(v: &[usize]) -> Json {
     Json::Arr(v.iter().map(|&u| Json::Num(u as f64)).collect())
+}
+
+fn count(n: usize) -> Json {
+    Json::Num(n as f64)
+}
+
+/// Starts a payload: the header length, then the header, with room for
+/// `bulk_bytes` more.
+fn with_header(fields: Vec<(&str, Json)>, bulk_bytes: usize) -> Vec<u8> {
+    let header = Json::object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect()).to_string();
+    let header_len = u32::try_from(header.len()).expect("a protocol header stays far below 4 GiB");
+    let mut out = Vec::with_capacity(4 + header.len() + bulk_bytes);
+    out.extend_from_slice(&header_len.to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out
+}
+
+/// Appends values to the bulk as little-endian bytes.
+fn put(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = f64>) {
+    let start = out.len();
+    out.resize(start + values.len() * F64_BYTES, 0);
+    for (bytes, v) in out[start..].chunks_exact_mut(F64_BYTES).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn planes_bytes<'a>(planes: impl IntoIterator<Item = &'a Grid>) -> usize {
+    planes
+        .into_iter()
+        .map(|g| g.as_slice().len() * F64_BYTES)
+        .sum()
 }
 
 /// Serializes a [`DonnConfig`] field by field. Every scalar survives the
@@ -154,9 +193,9 @@ pub fn config_to_json(c: &DonnConfig) -> Json {
     ])
 }
 
-/// Serializes a message to its wire JSON text.
-pub fn encode(msg: &Message) -> String {
-    let doc = match msg {
+/// Serializes a message to its wire payload.
+pub fn encode(msg: &Message) -> Vec<u8> {
+    match msg {
         Message::Init {
             config,
             images,
@@ -165,58 +204,72 @@ pub fn encode(msg: &Message) -> String {
             heartbeat_ms,
         } => {
             let mut fields = vec![
-                ("type".into(), Json::Str("init".into())),
-                ("protocol".into(), Json::Num(PROTOCOL_VERSION as f64)),
-                ("heartbeat_ms".into(), Json::Num(*heartbeat_ms as f64)),
-                ("config".into(), config_to_json(config)),
-                ("labels".into(), usizes_to_json(labels)),
-                ("images".into(), grids_to_json(images)),
+                ("type", Json::Str("init".into())),
+                ("protocol", count(PROTOCOL_VERSION)),
+                ("heartbeat_ms", Json::Num(*heartbeat_ms as f64)),
+                ("config", config_to_json(config)),
+                ("labels", usizes_to_json(labels)),
+                ("images", count(images.len())),
             ];
             if let Some(fz) = freeze {
-                fields.push(("freeze".into(), grids_to_json(fz)));
+                fields.push(("freeze", count(fz.len())));
             }
-            Json::object(fields)
+            let planes = || images.iter().chain(freeze.iter().flatten());
+            let mut out = with_header(fields, planes_bytes(planes()));
+            for g in planes() {
+                put(&mut out, g.as_slice().iter().copied());
+            }
+            out
         }
-        Message::Ready => Json::object(vec![("type".into(), Json::Str("ready".into()))]),
-        Message::Heartbeat => Json::object(vec![("type".into(), Json::Str("heartbeat".into()))]),
+        Message::Ready => with_header(vec![("type", Json::Str("ready".into()))], 0),
+        Message::Heartbeat => with_header(vec![("type", Json::Str("heartbeat".into()))], 0),
         Message::Step {
             masks,
             shard,
             denom,
-        } => Json::object(vec![
-            ("type".into(), Json::Str("step".into())),
-            ("denom".into(), Json::Num(*denom as f64)),
-            ("shard".into(), usizes_to_json(shard)),
-            ("masks".into(), grids_to_json(masks)),
-        ]),
-        Message::Grads(mg) => Json::object(vec![
-            ("type".into(), Json::Str("grads".into())),
-            ("loss".into(), Json::Num(mg.loss)),
-            ("samples".into(), Json::Num(mg.samples as f64)),
-            (
-                "layers".into(),
-                Json::Arr(mg.wgrads.iter().map(cgrid_to_json).collect()),
-            ),
-        ]),
-        Message::Shutdown => Json::object(vec![("type".into(), Json::Str("shutdown".into()))]),
-    };
-    doc.to_string()
+        } => encode_steps(masks, &[shard.as_slice()], *denom)
+            .pop()
+            .expect("one shard, one payload"),
+        Message::Grads(mg) => {
+            let fields = vec![
+                ("type", Json::Str("grads".into())),
+                ("samples", count(mg.samples)),
+                ("layers", count(mg.wgrads.len())),
+            ];
+            let values: usize = mg.wgrads.iter().map(|g| 2 * g.as_slice().len()).sum();
+            let mut out = with_header(fields, (1 + values) * F64_BYTES);
+            put(&mut out, std::iter::once(mg.loss));
+            for g in &mg.wgrads {
+                put(&mut out, g.as_slice().iter().map(|z| z.re));
+                put(&mut out, g.as_slice().iter().map(|z| z.im));
+            }
+            out
+        }
+        Message::Shutdown => with_header(vec![("type", Json::Str("shutdown".into()))], 0),
+    }
 }
 
-/// Serializes one step message per shard, stringifying the (identical,
-/// large) mask payload **once** instead of once per peer — the per-peer
-/// difference is only the small shard-index list. Each returned string is
-/// byte-identical to `encode(&Message::Step { .. })` for the same shard
-/// (pinned by a unit test), so the peer-side decoder sees one format.
-pub fn encode_steps(masks: &[Grid], shards: &[&[usize]], denom: usize) -> Vec<String> {
-    let masks_json = grids_to_json(masks).to_string();
+/// Serializes one step message per shard, writing the (identical, large)
+/// mask bulk **once** instead of once per peer — the per-peer difference
+/// is only the small header with the shard-index list. [`encode`] of a
+/// [`Message::Step`] goes through here, so both produce the same bytes.
+pub fn encode_steps(masks: &[Grid], shards: &[&[usize]], denom: usize) -> Vec<Vec<u8>> {
+    let mut bulk = Vec::with_capacity(planes_bytes(masks));
+    for g in masks {
+        put(&mut bulk, g.as_slice().iter().copied());
+    }
     shards
         .iter()
         .map(|shard| {
-            format!(
-                "{{\"type\":\"step\",\"denom\":{denom},\"shard\":{},\"masks\":{masks_json}}}",
-                usizes_to_json(shard)
-            )
+            let fields = vec![
+                ("type", Json::Str("step".into())),
+                ("denom", count(denom)),
+                ("shard", usizes_to_json(shard)),
+                ("masks", count(masks.len())),
+            ];
+            let mut out = with_header(fields, bulk.len());
+            out.extend_from_slice(&bulk);
+            out
         })
         .collect()
 }
@@ -252,53 +305,6 @@ fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("\"{key}\" is not a string"))
 }
 
-fn numbers(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    value
-        .as_array()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("{what} holds a non-number"))
-        })
-        .collect()
-}
-
-fn grid_from_json(value: &Json, n: usize, what: &str) -> Result<Grid, String> {
-    let data = numbers(value, what)?;
-    if data.len() != n * n {
-        return Err(format!(
-            "{what} has {} values, expected {}",
-            data.len(),
-            n * n
-        ));
-    }
-    Ok(Grid::from_vec(n, n, data))
-}
-
-fn grids_from_json(value: &Json, n: usize, what: &str) -> Result<Vec<Grid>, String> {
-    value
-        .as_array()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|v| grid_from_json(v, n, what))
-        .collect()
-}
-
-fn cgrid_from_json(value: &Json, n: usize) -> Result<CGrid, String> {
-    let re = numbers(field(value, "re")?, "layer re plane")?;
-    let im = numbers(field(value, "im")?, "layer im plane")?;
-    if re.len() != n * n || im.len() != re.len() {
-        return Err("gradient plane size mismatch".into());
-    }
-    let data: Vec<Complex64> = re
-        .into_iter()
-        .zip(im)
-        .map(|(re, im)| Complex64 { re, im })
-        .collect();
-    Ok(CGrid::from_vec(n, n, data))
-}
-
 fn usizes_from_json(value: &Json, what: &str) -> Result<Vec<usize>, String> {
     value
         .as_array()
@@ -309,6 +315,66 @@ fn usizes_from_json(value: &Json, what: &str) -> Result<Vec<usize>, String> {
                 .ok_or_else(|| format!("{what} holds a non-index"))
         })
         .collect()
+}
+
+/// Splits a payload into its parsed JSON header and its bulk bytes.
+fn split(payload: &[u8]) -> Result<(Json, &[u8]), String> {
+    let (len, rest) = payload
+        .split_first_chunk::<4>()
+        .ok_or("payload shorter than its 4-byte header length")?;
+    let header_len = u32::from_le_bytes(*len) as usize;
+    if header_len > rest.len() {
+        return Err(format!(
+            "header length {header_len} exceeds the {} bytes after it",
+            rest.len()
+        ));
+    }
+    let (header, bulk) = rest.split_at(header_len);
+    let header = std::str::from_utf8(header).map_err(|_| "header is not UTF-8".to_string())?;
+    let doc = Json::parse(header).map_err(|e| format!("header: {e}"))?;
+    Ok((doc, bulk))
+}
+
+/// The `type` field of a payload's header, read without touching the
+/// bulk (the chaos proxy keys its fault schedule on it).
+pub(crate) fn message_type(payload: &[u8]) -> Result<String, String> {
+    let (doc, _) = split(payload)?;
+    Ok(str_field(&doc, "type")?.to_string())
+}
+
+/// Checks that `bulk` is exactly `count` planes of `n × n` values, as the
+/// header field(s) named by `what` announced, and splits it into them.
+fn planes<'a>(
+    bulk: &'a [u8],
+    n: usize,
+    count: usize,
+    what: &str,
+) -> Result<ChunksExact<'a, u8>, String> {
+    let plane = n
+        .checked_mul(n)
+        .and_then(|v| v.checked_mul(F64_BYTES))
+        .filter(|&bytes| bytes > 0)
+        .ok_or_else(|| format!("grid {n} has no plane size"))?;
+    let need = plane
+        .checked_mul(count)
+        .ok_or_else(|| format!("{what}: {count} planes of {n}×{n} overflow a byte count"))?;
+    if need != bulk.len() {
+        return Err(format!(
+            "{what}: {count} planes of {n}×{n} need {need} bulk bytes, the payload carries {}",
+            bulk.len()
+        ));
+    }
+    Ok(bulk.chunks_exact(plane))
+}
+
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(F64_BYTES)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes")))
+}
+
+fn plane_grid(n: usize, plane: &[u8]) -> Grid {
+    Grid::from_vec(n, n, f64s(plane).collect())
 }
 
 /// Parses a [`DonnConfig`] from its [`config_to_json`] form.
@@ -371,19 +437,20 @@ pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
     })
 }
 
-/// Parses one wire message. `grid` sizes every shipped plane; the [`Init`]
-/// message carries its own grid inside the config, so pass the *expected*
-/// grid (from the listener's own state, or the config itself when first
+/// Parses one wire payload. `grid` sizes every shipped plane; the
+/// [`Init`] message carries its own grid inside the config, so pass the
+/// *expected* grid (from the listener's own state, or `None` when first
 /// decoding an init).
 ///
 /// [`Init`]: Message::Init
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural problem (unknown type,
-/// missing field, size mismatch, protocol version skew).
-pub fn decode(text: &str, grid: Option<usize>) -> Result<Message, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+/// Returns a description of the first structural problem (malformed
+/// header, unknown type, missing or ill-typed field, bulk size mismatch,
+/// protocol version skew).
+pub fn decode(payload: &[u8], grid: Option<usize>) -> Result<Message, String> {
+    let (doc, bulk) = split(payload)?;
     match str_field(&doc, "type")? {
         "init" => {
             let protocol = usize_field(&doc, "protocol")?;
@@ -400,48 +467,79 @@ pub fn decode(text: &str, grid: Option<usize>) -> Result<Message, String> {
                 }
             }
             let labels = usizes_from_json(field(&doc, "labels")?, "labels")?;
-            let images = grids_from_json(field(&doc, "images")?, n, "image")?;
-            if images.len() != labels.len() {
-                return Err("images/labels length mismatch".into());
+            let images = usize_field(&doc, "images")?;
+            if images != labels.len() {
+                return Err(format!(
+                    "\"images\" counts {images}, \"labels\" holds {}",
+                    labels.len()
+                ));
             }
-            let freeze = match doc.get("freeze") {
-                Some(v) => Some(grids_from_json(v, n, "freeze mask")?),
-                None => None,
-            };
-            let heartbeat_ms = num_field(&doc, "heartbeat_ms")? as u64;
+            let freeze = doc
+                .get("freeze")
+                .map(|_| usize_field(&doc, "freeze"))
+                .transpose()?;
+            let heartbeat_ms = usize_field(&doc, "heartbeat_ms")? as u64;
+            let total = images
+                .checked_add(freeze.unwrap_or(0))
+                .ok_or("\"images\" + \"freeze\" overflows a plane count")?;
+            let mut planes = planes(bulk, n, total, "\"images\" + \"freeze\"")?;
             Ok(Message::Init {
                 config,
-                images,
+                images: planes
+                    .by_ref()
+                    .take(images)
+                    .map(|p| plane_grid(n, p))
+                    .collect(),
                 labels,
-                freeze,
+                freeze: freeze.map(|_| planes.map(|p| plane_grid(n, p)).collect()),
                 heartbeat_ms,
             })
         }
-        "ready" => Ok(Message::Ready),
-        "heartbeat" => Ok(Message::Heartbeat),
         "step" => {
             let n = grid.ok_or("step before init")?;
+            let masks = planes(bulk, n, usize_field(&doc, "masks")?, "\"masks\"")?;
             Ok(Message::Step {
                 denom: usize_field(&doc, "denom")?,
                 shard: usizes_from_json(field(&doc, "shard")?, "shard")?,
-                masks: grids_from_json(field(&doc, "masks")?, n, "mask")?,
+                masks: masks.map(|p| plane_grid(n, p)).collect(),
             })
         }
         "grads" => {
             let n = grid.ok_or("grads before init")?;
-            let layers = field(&doc, "layers")?
-                .as_array()
-                .ok_or("\"layers\" is not an array")?
-                .iter()
-                .map(|v| cgrid_from_json(v, n))
-                .collect::<Result<Vec<CGrid>, String>>()?;
+            let layers = usize_field(&doc, "layers")?;
+            let (loss, bulk) = bulk
+                .split_first_chunk::<F64_BYTES>()
+                .ok_or("grads bulk lacks the loss")?;
+            let count = layers
+                .checked_mul(2)
+                .ok_or("\"layers\" overflows a plane count")?;
+            let planes: Vec<&[u8]> = planes(bulk, n, count, "\"layers\"")?.collect();
+            let wgrads = planes
+                .chunks_exact(2)
+                .map(|pair| {
+                    let data = f64s(pair[0])
+                        .zip(f64s(pair[1]))
+                        .map(|(re, im)| Complex64 { re, im })
+                        .collect();
+                    CGrid::from_vec(n, n, data)
+                })
+                .collect();
             Ok(Message::Grads(MaskGrads {
-                wgrads: layers,
-                loss: num_field(&doc, "loss")?,
+                wgrads,
+                loss: f64::from_le_bytes(*loss),
                 samples: usize_field(&doc, "samples")?,
             }))
         }
-        "shutdown" => Ok(Message::Shutdown),
+        kind @ ("ready" | "heartbeat" | "shutdown") => {
+            if !bulk.is_empty() {
+                return Err(format!("\"{kind}\" carries {} bulk bytes", bulk.len()));
+            }
+            Ok(match kind {
+                "ready" => Message::Ready,
+                "heartbeat" => Message::Heartbeat,
+                _ => Message::Shutdown,
+            })
+        }
         other => Err(format!("unknown message type \"{other}\"")),
     }
 }
@@ -548,38 +646,186 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_and_edge_values_roundtrip_bit_exactly() {
+        // A NaN with a payload, ±Inf, −0.0 and a subnormal: none of them
+        // survives JSON's number syntax, and all of them must survive the
+        // bulk through every message that carries planes.
+        let specials = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::from_bits(1),
+        ];
+        let plane = |shift: usize| {
+            Grid::from_fn(16, 16, |r, c| {
+                specials[(r * 16 + c + shift) % specials.len()]
+            })
+        };
+        let bits = |gs: &[Grid]| -> Vec<u64> {
+            gs.iter()
+                .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let images = vec![plane(0), plane(1)];
+        let freeze = vec![plane(2), plane(3), plane(4)];
+        let init = Message::Init {
+            config: DonnConfig::scaled(16),
+            images: images.clone(),
+            labels: vec![1, 2],
+            freeze: Some(freeze.clone()),
+            heartbeat_ms: 7,
+        };
+        match decode(&encode(&init), None).unwrap() {
+            Message::Init {
+                images: got_images,
+                freeze: Some(got_freeze),
+                ..
+            } => {
+                assert_eq!(bits(&got_images), bits(&images), "init images");
+                assert_eq!(bits(&got_freeze), bits(&freeze), "init freeze");
+            }
+            other => panic!("expected Message::Init back, decoded {other:?}"),
+        }
+
+        let masks = vec![plane(1), plane(3), plane(0)];
+        let step = Message::Step {
+            masks: masks.clone(),
+            shard: vec![4, 2],
+            denom: 6,
+        };
+        match decode(&encode(&step), Some(16)).unwrap() {
+            Message::Step { masks: got, .. } => assert_eq!(bits(&got), bits(&masks), "masks"),
+            other => panic!("expected Message::Step back, decoded {other:?}"),
+        }
+
+        let wgrads = vec![CGrid::from_fn(16, 16, |r, c| Complex64 {
+            re: specials[(r + c) % specials.len()],
+            im: specials[(r * c + 2) % specials.len()],
+        })];
+        let cbits = |gs: &[CGrid]| -> Vec<(u64, u64)> {
+            gs.iter()
+                .flat_map(|g| {
+                    g.as_slice()
+                        .iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                })
+                .collect()
+        };
+        for loss in specials {
+            let grads = Message::Grads(MaskGrads {
+                wgrads: wgrads.clone(),
+                loss,
+                samples: 2,
+            });
+            match decode(&encode(&grads), Some(16)).unwrap() {
+                Message::Grads(mg) => {
+                    assert_eq!(mg.loss.to_bits(), loss.to_bits(), "loss");
+                    assert_eq!(cbits(&mg.wgrads), cbits(&wgrads), "gradient planes");
+                }
+                other => panic!("expected Message::Grads back, decoded {other:?}"),
+            }
+        }
+    }
+
+    /// A payload from a hand-written header and bulk.
+    fn raw(header: &[u8], bulk: &[u8]) -> Vec<u8> {
+        let mut out = (header.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(header);
+        out.extend_from_slice(bulk);
+        out
+    }
+
+    /// `payload` with its header text rewritten by `edit`.
+    fn edit_header(payload: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+        let (len, rest) = payload.split_first_chunk::<4>().unwrap();
+        let (header, bulk) = rest.split_at(u32::from_le_bytes(*len) as usize);
+        raw(edit(std::str::from_utf8(header).unwrap()).as_bytes(), bulk)
+    }
+
+    /// Asserts that `payload` is rejected with an error mentioning `needle`.
+    fn rejects(payload: &[u8], grid: Option<usize>, needle: &str) {
+        match decode(payload, grid) {
+            Err(e) => assert!(e.contains(needle), "error {e:?} does not name {needle:?}"),
+            Ok(msg) => panic!("decoded {msg:?}, expected an error naming {needle:?}"),
+        }
+    }
+
+    #[test]
     fn malformed_messages_rejected() {
-        assert!(decode("{}", None).is_err(), "missing type");
-        assert!(decode("{\"type\":\"warp\"}", None).is_err(), "unknown type");
-        assert!(
-            decode(
-                "{\"type\":\"step\",\"denom\":4,\"shard\":[0],\"masks\":[[1.0]]}",
-                Some(2)
-            )
-            .is_err(),
-            "wrong mask size"
+        rejects(&raw(b"{}", &[]), None, "type");
+        rejects(&raw(b"{\"type\":\"warp\"}", &[]), None, "warp");
+        let one_mask = raw(
+            b"{\"type\":\"step\",\"denom\":4,\"shard\":[0],\"masks\":1}",
+            &[0; 8],
         );
-        assert!(
-            decode(
-                "{\"type\":\"step\",\"denom\":4,\"shard\":[0],\"masks\":[[1.0]]}",
-                None
-            )
-            .is_err(),
-            "step before init"
+        rejects(&one_mask, Some(2), "masks");
+        rejects(&one_mask, None, "step before init");
+        rejects(
+            &raw(b"{\"type\":\"grads\",\"samples\":1,\"layers\":1}", &[]),
+            Some(2),
+            "loss",
         );
-        // Protocol skew on init.
-        let cfg = DonnConfig::scaled(16);
-        let text = encode(&Message::Init {
-            config: cfg,
-            images: vec![],
-            labels: vec![],
+
+        let init = encode(&Message::Init {
+            config: DonnConfig::scaled(16),
+            images: vec![Grid::zeros(16, 16)],
+            labels: vec![5],
             freeze: None,
-            heartbeat_ms: 0,
-        })
-        .replace(
-            &format!("\"protocol\":{PROTOCOL_VERSION}"),
-            "\"protocol\":99",
-        );
-        assert!(decode(&text, None).is_err(), "protocol skew");
+            heartbeat_ms: 20,
+        });
+        assert!(decode(&init, None).is_ok());
+        let skewed = edit_header(&init, |h| {
+            h.replace(
+                &format!("\"protocol\":{PROTOCOL_VERSION}"),
+                "\"protocol\":99",
+            )
+        });
+        rejects(&skewed, None, "protocol");
+        for bad in ["-3.7", "2.5", "-1", "1e300", "null"] {
+            let header = edit_header(&init, |h| {
+                h.replace("\"heartbeat_ms\":20", &format!("\"heartbeat_ms\":{bad}"))
+            });
+            rejects(&header, None, "heartbeat_ms");
+        }
+        let unlabeled = edit_header(&init, |h| h.replace("\"labels\":[5]", "\"labels\":[]"));
+        rejects(&unlabeled, None, "labels");
+
+        // The bulk must be exactly what the header's counts announce.
+        let step = encode(&Message::Step {
+            masks: vec![Grid::zeros(4, 4); 2],
+            shard: vec![1],
+            denom: 2,
+        });
+        let grads = encode(&Message::Grads(MaskGrads {
+            wgrads: vec![CGrid::zeros(4, 4)],
+            loss: 0.5,
+            samples: 1,
+        }));
+        for (payload, grid, field) in [
+            (&init, None, "images"),
+            (&step, Some(4), "masks"),
+            (&grads, Some(4), "layers"),
+        ] {
+            rejects(&payload[..payload.len() - 1], grid, field);
+            let mut long = payload.clone();
+            long.push(0);
+            rejects(&long, grid, field);
+        }
+        let mut ready = encode(&Message::Ready);
+        ready.push(0);
+        rejects(&ready, None, "ready");
+        let overflow = edit_header(&step, |h| {
+            h.replace("\"masks\":2", "\"masks\":4611686018427387904")
+        });
+        rejects(&overflow, Some(4), "overflow");
+
+        // The header itself: its length must fit and it must be UTF-8 JSON.
+        let mut past = step.clone();
+        past[..4].copy_from_slice(&(step.len() as u32 - 3).to_le_bytes());
+        rejects(&past, Some(4), "header length");
+        rejects(&[1, 0], None, "header length");
+        rejects(&raw(&[0xff, 0xfe], &[]), None, "UTF-8");
+        rejects(&raw(b"{\"type\":", &[]), None, "header");
     }
 }

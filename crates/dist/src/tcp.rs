@@ -97,8 +97,8 @@ fn protocol_error(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-fn expect_message(text: &str, grid: Option<usize>) -> io::Result<Message> {
-    decode(text, grid).map_err(protocol_error)
+fn expect_message(payload: &[u8], grid: Option<usize>) -> io::Result<Message> {
+    decode(payload, grid).map_err(protocol_error)
 }
 
 /// One buffered, nodelay connection speaking framed protocol messages.
@@ -128,8 +128,8 @@ impl Framed {
     }
 
     fn recv(&mut self, grid: Option<usize>) -> io::Result<Message> {
-        let text = read_frame(&mut self.reader).map_err(io::Error::from)?;
-        expect_message(&text, grid)
+        let payload = read_frame(&mut self.reader).map_err(io::Error::from)?;
+        expect_message(&payload, grid)
     }
 }
 
@@ -148,7 +148,7 @@ pub struct TcpPool {
     peers: Vec<Peer>,
     grid: usize,
     /// The serialized init handshake, kept so a reconnect can re-run it.
-    init_text: String,
+    init_payload: Vec<u8>,
     fault: FaultConfig,
 }
 
@@ -177,12 +177,12 @@ impl TcpPool {
             freeze: freeze.map(|fz| fz.iter().map(|k| k.as_ref().clone()).collect()),
             heartbeat_ms: fault.heartbeat_ms,
         };
-        let init_text = encode(&init);
+        let init_payload = encode(&init);
         let grid = config.grid();
         let mut peers = Vec::with_capacity(peer_addrs.len());
         for addr in peer_addrs {
             let addr = addr.to_string();
-            let framed = dial(&addr, &fault, &init_text, grid, None)
+            let framed = dial(&addr, &fault, &init_payload, grid, None)
                 .map_err(|e| io::Error::new(e.kind(), format!("peer {addr}: {e}")))?;
             peers.push(Peer {
                 addr,
@@ -193,7 +193,7 @@ impl TcpPool {
         Ok(TcpPool {
             peers,
             grid,
-            init_text,
+            init_payload,
             fault,
         })
     }
@@ -230,9 +230,9 @@ impl TcpPool {
         denom: usize,
     ) -> io::Result<()> {
         assert!(shards.len() <= self.peers.len(), "more shards than peers");
-        let texts = crate::proto::encode_steps(masks, shards, denom);
-        for (peer, text) in self.peers.iter_mut().zip(&texts) {
-            write_frame(&mut peer.framed.writer, text)?;
+        let payloads = crate::proto::encode_steps(masks, shards, denom);
+        for (peer, payload) in self.peers.iter_mut().zip(&payloads) {
+            write_frame(&mut peer.framed.writer, payload)?;
             peer.pending += 1;
         }
         Ok(())
@@ -260,7 +260,7 @@ impl TcpPool {
         let grid = self.grid;
         let peer = &mut self.peers[i];
         loop {
-            let text = read_frame(&mut peer.framed.reader).map_err(|e| {
+            let payload = read_frame(&mut peer.framed.reader).map_err(|e| {
                 let e = io::Error::from(e);
                 if is_timeout(&e) {
                     io::Error::new(
@@ -274,7 +274,7 @@ impl TcpPool {
                     e
                 }
             })?;
-            match expect_message(&text, Some(grid))? {
+            match expect_message(&payload, Some(grid))? {
                 Message::Heartbeat => continue,
                 Message::Grads(mg) => {
                     peer.pending = peer.pending.saturating_sub(1);
@@ -347,9 +347,9 @@ impl TcpPool {
         }
         {
             let _span = photonn_trace::span("dist.wire_serialize");
-            let texts = crate::proto::encode_steps(donn.masks(), &shards[1..], denom);
-            for (i, text) in texts.iter().enumerate() {
-                write_frame(&mut self.peers[i].framed.writer, text).map_err(|e| (i, e))?;
+            let payloads = crate::proto::encode_steps(donn.masks(), &shards[1..], denom);
+            for (i, payload) in payloads.iter().enumerate() {
+                write_frame(&mut self.peers[i].framed.writer, payload).map_err(|e| (i, e))?;
                 self.peers[i].pending += 1;
             }
         }
@@ -423,7 +423,7 @@ impl TcpPool {
             match dial(
                 &addr,
                 &self.fault,
-                &self.init_text,
+                &self.init_payload,
                 self.grid,
                 Some(deadline),
             ) {
@@ -462,7 +462,7 @@ impl TcpPool {
 fn dial(
     addr: &str,
     fault: &FaultConfig,
-    init_text: &str,
+    init_payload: &[u8],
     grid: usize,
     deadline: Option<Instant>,
 ) -> io::Result<Framed> {
@@ -484,7 +484,7 @@ fn dial(
         }
     };
     let mut framed = Framed::new(stream, fault.peer_timeout(), fault.peer_timeout())?;
-    write_frame(&mut framed.writer, init_text)?;
+    write_frame(&mut framed.writer, init_payload)?;
     match framed.recv(Some(grid))? {
         Message::Ready => Ok(framed),
         other => Err(protocol_error(format!(
@@ -577,12 +577,12 @@ pub fn serve_peer_once(listener: &TcpListener, threads: usize) -> io::Result<()>
     let mut donn = Donn::new(config);
     framed.send(&Message::Ready)?;
     loop {
-        let text = match read_frame(&mut framed.reader) {
-            Ok(text) => text,
+        let payload = match read_frame(&mut framed.reader) {
+            Ok(payload) => payload,
             Err(FrameError::Closed) => return Ok(()), // coordinator hung up
             Err(e) => return Err(e.into()),
         };
-        match expect_message(&text, Some(config.grid()))? {
+        match expect_message(&payload, Some(config.grid()))? {
             Message::Step {
                 masks,
                 shard,

@@ -11,8 +11,8 @@
 
 use photonn_datasets::{Dataset, Family};
 use photonn_dist::{
-    all_reduce, in_process_shard_grads, serve_peer_once, shard_batch, sharded_gradients,
-    train_sharded, DistConfig, FaultConfig, TcpPool,
+    all_reduce, in_process_shard_grads, serve_peer_forever, serve_peer_once, shard_batch,
+    sharded_gradients, train_sharded, DistConfig, FaultConfig, TcpPool,
 };
 use photonn_donn::train::{
     batched_gradients, shard_gradients, train, train_with_grad_source, TrainOptions,
@@ -341,4 +341,53 @@ fn train_sharded_learns_on_ragged_worker_counts() {
             d.mean_loss
         );
     }
+}
+
+#[test]
+fn non_finite_masks_cross_the_wire_bit_identically() {
+    // One NaN mask pixel poisons every gradient. The in-process pool
+    // returns those NaNs at once, and the TCP step must return the same
+    // bits instead of failing the peer: the wire may not refuse a value
+    // the in-process pool accepts. With no reconnect window and a floor of
+    // two workers, a refused step ends in BelowMinWorkers rather than a
+    // reconnect loop.
+    let (mut donn, data) = setup(16, 4, 31);
+    donn.masks_mut()[0][(5, 9)] = f64::NAN;
+    let batch: Vec<usize> = (0..4).collect();
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let _ = serve_peer_forever(&listener, 1);
+    });
+    let fault = FaultConfig {
+        reconnect_window_ms: 0,
+        ..FaultConfig::default()
+    };
+    let mut pool = TcpPool::connect(&[addr], donn.config(), &data, None, fault).expect("connect");
+    let (tcp_grads, tcp_loss) = pool
+        .elastic_step(&donn, &data, &batch, None, 1, 2)
+        .expect("the peer answers a NaN-mask step");
+    pool.shutdown();
+
+    let parts = in_process_shard_grads(&donn, &data, &batch, None, 2, 1).expect("healthy shards");
+    let (ip_grads, ip_loss) = all_reduce(parts, donn.masks(), None);
+    let bits = |gs: &[Grid]| -> Vec<u64> {
+        gs.iter()
+            .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    assert!(ip_grads
+        .iter()
+        .any(|g| g.as_slice().iter().any(|v| v.is_nan())));
+    assert_eq!(
+        bits(&tcp_grads),
+        bits(&ip_grads),
+        "TCP vs in-process gradients"
+    );
+    assert_eq!(
+        tcp_loss.to_bits(),
+        ip_loss.to_bits(),
+        "TCP vs in-process loss"
+    );
 }

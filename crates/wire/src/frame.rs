@@ -1,9 +1,10 @@
 //! Length-prefixed message framing over any byte stream.
 //!
-//! The `photonn-dist` gradient protocol exchanges JSON documents over
-//! loopback TCP. TCP is a byte stream with no message boundaries, so every
-//! document travels as one *frame*: a 4-byte little-endian payload length
-//! followed by that many bytes of UTF-8 JSON. The reader enforces a hard
+//! TCP is a byte stream with no message boundaries, so every
+//! `photonn-dist` protocol message travels as one *frame*: a 4-byte
+//! little-endian payload length followed by that many payload bytes. The
+//! payload is opaque here — `photonn_dist::proto` gives it its layout (a
+//! small JSON header, then raw `f64` planes). The reader enforces a hard
 //! size cap so a corrupt or hostile length prefix cannot trigger an
 //! arbitrary-size allocation.
 
@@ -11,10 +12,10 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (1 GiB). The largest real message is
-/// `photonn-dist`'s full-dataset init handshake, which at the paper-native
-/// grid 200 fits several hundred images per GiB of JSON (~0.75 MiB per
-/// image); a paper-scale 60k-sample dataset does **not** fit and needs the
-/// ROADMAP's chunked/compressed handshake. An oversized *send* is a clean
+/// `photonn-dist`'s full-dataset init handshake, which ships each image as
+/// a raw `f64` plane (0.32 MB per grid-200 image), so about 3,300
+/// paper-native images fit in one frame; a paper-scale 60k-sample dataset
+/// does **not** fit and needs a chunked handshake. An oversized *send* is a clean
 /// [`FrameError::TooLarge`], not a panic, so a coordinator refuses the
 /// session instead of aborting; on the read side the cap keeps a corrupt
 /// or hostile length prefix from triggering an arbitrary-size allocation.
@@ -29,8 +30,6 @@ pub enum FrameError {
     Closed,
     /// The length prefix exceeds [`MAX_FRAME_BYTES`].
     TooLarge(usize),
-    /// The payload is not valid UTF-8.
-    NotUtf8,
 }
 
 impl fmt::Display for FrameError {
@@ -41,7 +40,6 @@ impl fmt::Display for FrameError {
             FrameError::TooLarge(n) => {
                 write!(f, "frame of {n} bytes exceeds cap of {MAX_FRAME_BYTES}")
             }
-            FrameError::NotUtf8 => write!(f, "frame payload is not UTF-8"),
         }
     }
 }
@@ -73,7 +71,7 @@ impl From<FrameError> for io::Error {
 /// [`MAX_FRAME_BYTES`] (e.g. an init handshake shipping a dataset too
 /// large for one frame) — the message is then not sent at all, so the
 /// stream stays consistent and the caller can surface the refusal.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -81,7 +79,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
         ));
     }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    w.write_all(payload)?;
     w.flush()
 }
 
@@ -96,9 +94,9 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`FrameError`] on transport failure, clean close, an oversized
-/// length prefix, or a non-UTF-8 payload.
-pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
+/// Returns [`FrameError`] on transport failure, clean close, or an
+/// oversized length prefix.
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no bytes at all" (clean close) from a torn prefix.
     match r.read(&mut len_buf).map_err(FrameError::Io)? {
@@ -122,7 +120,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
             format!("stream ended {got} bytes into a {len}-byte frame"),
         )));
     }
-    String::from_utf8(payload).map_err(|_| FrameError::NotUtf8)
+    Ok(payload)
 }
 
 /// `true` when an I/O error is a read/write *timeout* (the socket's
@@ -146,13 +144,13 @@ mod tests {
     #[test]
     fn roundtrip_preserves_payload() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"a\":1}").unwrap();
-        write_frame(&mut buf, "").unwrap();
-        write_frame(&mut buf, "second message é😀").unwrap();
+        write_frame(&mut buf, b"{\"a\":1}").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        write_frame(&mut buf, "second message é😀".as_bytes()).unwrap();
         let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap(), "{\"a\":1}");
-        assert_eq!(read_frame(&mut r).unwrap(), "");
-        assert_eq!(read_frame(&mut r).unwrap(), "second message é😀");
+        assert_eq!(read_frame(&mut r).unwrap(), b"{\"a\":1}");
+        assert_eq!(read_frame(&mut r).unwrap(), b"");
+        assert_eq!(read_frame(&mut r).unwrap(), "second message é😀".as_bytes());
         assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
     }
 
@@ -180,12 +178,17 @@ mod tests {
     }
 
     #[test]
-    fn non_utf8_payload_rejected() {
+    fn binary_payload_roundtrips_unchanged() {
+        // Raw f64 bytes, NaN included: the frame layer never looks inside.
+        let payload: Vec<u8> = [f64::NAN, -0.0, f64::INFINITY, 1.5]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .chain([0xff, 0xfe])
+            .collect();
         let mut buf = Vec::new();
-        buf.extend(2u32.to_le_bytes());
-        buf.extend([0xff, 0xfe]);
+        write_frame(&mut buf, &payload).unwrap();
         let mut r = Cursor::new(buf);
-        assert!(matches!(read_frame(&mut r), Err(FrameError::NotUtf8)));
+        assert_eq!(read_frame(&mut r).unwrap(), payload);
     }
 
     #[test]
@@ -218,9 +221,7 @@ mod tests {
 
     fn sample_frame(rng: &mut XorShift) -> Vec<u8> {
         let len = (rng.next() % 64) as usize;
-        let payload: String = (0..len)
-            .map(|_| char::from(b'a' + (rng.next() % 26) as u8))
-            .collect();
+        let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         buf
@@ -240,7 +241,7 @@ mod tests {
                     Err(FrameError::Closed) => assert_eq!(cut, 0, "Closed only with no bytes"),
                     Err(FrameError::Io(e)) => assert!(cut > 0, "torn read at {cut}: {e}"),
                     Err(other) => panic!("cut at {cut}: unexpected {other}"),
-                    Ok(s) => panic!("cut at {cut} of {} decoded {s:?}", frame.len()),
+                    Ok(p) => panic!("cut at {cut} of {} decoded {p:?}", frame.len()),
                 }
             }
         }
@@ -287,7 +288,7 @@ mod tests {
             let mut frame = sample_frame(&mut rng);
             if frame.len() > 4 {
                 let at = 4 + (rng.next() as usize) % (frame.len() - 4);
-                frame[at] = (rng.next() % 128) as u8; // keep it ASCII/UTF-8
+                frame[at] = rng.next() as u8;
             }
             let expected_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
             let mut r = Cursor::new(frame);

@@ -1,5 +1,5 @@
 //! A minimal hand-rolled JSON codec — the wire format of the inference
-//! server's HTTP API and of the distributed trainer's gradient protocol.
+//! server's HTTP API and of the distributed trainer's message headers.
 //!
 //! The workspace is offline and dependency-free, so this module implements
 //! exactly the JSON subset those protocols need: UTF-8 text, the six
@@ -7,8 +7,8 @@
 //! strict number syntax. Numbers are stored as `f64` and serialized with
 //! Rust's shortest-roundtrip [`std::fmt::Display`], so an `f64` written by
 //! one process parses back to the *identical* bits in another — the
-//! property that makes end-to-end bit-identity of served logits (and of
-//! TCP-shipped shard gradients) testable at all.
+//! property that makes end-to-end bit-identity of served logits testable
+//! at all.
 
 use std::fmt;
 

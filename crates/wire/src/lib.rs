@@ -7,12 +7,12 @@
 //!
 //! * [`json`] — the minimal JSON codec originally written for
 //!   `photonn-serve`'s HTTP API. Its load-bearing property is **bit-exact
-//!   `f64` round-trips** (shortest-roundtrip `Display`, strict parse), which
-//!   is what makes "served logits are bit-identical to direct calls" and
-//!   "TCP-shipped gradients are bit-identical to in-process gradients"
-//!   testable claims rather than hopes.
-//! * [`frame`] — length-prefixed message framing over any byte stream, the
-//!   transport under `photonn-dist`'s rank-0 ↔ peer gradient protocol
+//!   finite `f64` round-trips** (shortest-roundtrip `Display`, strict
+//!   parse), which is what makes "served logits are bit-identical to direct
+//!   calls" a testable claim rather than a hope. `photonn-dist` uses it
+//!   for the small control header of each protocol message.
+//! * [`frame`] — length-prefixed byte-payload framing over any byte stream,
+//!   the transport under `photonn-dist`'s rank-0 ↔ peer gradient protocol
 //!   (HTTP's `Content-Length` plays the same role for `photonn-serve`).
 
 #![forbid(unsafe_code)]
