@@ -57,6 +57,6 @@ fn main() {
     println!("neighborhood, zero padding, summed over pixels) to the printed matrix gives");
     println!("the ~115 scale above; no normalization of Eq. 4 reproduces the figure's");
     println!("23.78/25.80/25.88, and the figure's zeroed blocks do not follow the block-L2");
-    println!("rule either (see EXPERIMENTS.md), so we pin the *ordering*, which is the");
+    println!("rule either, so we pin the *ordering*, which is the");
     println!("claim the figure supports: whole-block pruning minimizes roughness.");
 }

@@ -243,7 +243,7 @@ pub fn run_table(
     println!("Shape targets: baseline has the highest roughness; 2π barely moves the dense");
     println!("baseline (<2%); Ours-C after 2π is the big drop at near-baseline accuracy;");
     println!("Ours-D trades ~2% accuracy for the lowest roughness. Absolute values differ");
-    println!("(simulated substrate; see EXPERIMENTS.md).");
+    println!("(simulated substrate, scaled data).");
 }
 
 #[cfg(test)]

@@ -97,8 +97,7 @@ impl Donn {
         // differ — assert uniformity to keep the invariant explicit.
         let d = config.distances;
         assert!(
-            (d.source_to_first - d.between_layers).abs() < 1e-12
-                && (d.between_layers - d.last_to_detector).abs() < 1e-12,
+            d.is_uniform(),
             "Donn currently assumes the paper's uniform plane spacing"
         );
         let kernel = Arc::new(transfer_function(

@@ -118,8 +118,7 @@ impl ExperimentConfig {
             sparsify_lr: 0.01,
             sparsify_epochs_per_iter: 1,
             // Weights chosen so the regularizer gradient is a small
-            // fraction of the measured data-loss gradient at this scale
-            // (see EXPERIMENTS.md).
+            // fraction of the measured data-loss gradient at this scale.
             p: 6e-5,
             q: 6e-3,
             slr: SlrConfig {

@@ -29,8 +29,10 @@
 //! in-process shard *bit for bit* and the all-reduce stays deterministic
 //! across transports. [`decode`] treats a payload as outside input: the
 //! header length must fit inside the payload, the header must be UTF-8
-//! JSON, and the header's plane counts must account for the bulk byte for
-//! byte (checked arithmetic); anything else is an error naming the field.
+//! JSON, the header's plane counts must account for the bulk byte for
+//! byte (checked arithmetic), and an init must describe a model and a
+//! training set the peer can build without tripping an assertion;
+//! anything else is an error naming the field.
 
 use photonn_autodiff::MaskGrads;
 use photonn_donn::{DetectorConfig, DonnConfig, LossKind, MaskInit};
@@ -286,6 +288,12 @@ fn num_field(doc: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("\"{key}\" is not a number"))
 }
 
+fn positive_field(doc: &Json, key: &str) -> Result<f64, String> {
+    Some(num_field(doc, key)?)
+        .filter(|v| *v > 0.0 && v.is_finite())
+        .ok_or_else(|| format!("\"{key}\" must be positive and finite"))
+}
+
 fn usize_field(doc: &Json, key: &str) -> Result<usize, String> {
     field(doc, key)?
         .as_usize()
@@ -377,11 +385,13 @@ fn plane_grid(n: usize, plane: &[u8]) -> Grid {
     Grid::from_vec(n, n, f64s(plane).collect())
 }
 
-/// Parses a [`DonnConfig`] from its [`config_to_json`] form.
+/// Parses a [`DonnConfig`] from its [`config_to_json`] form, refusing any
+/// value `Geometry::new` or `Donn::new` would panic on.
 ///
 /// # Errors
 ///
-/// Returns a description of the first missing or ill-typed field.
+/// Returns a description of the first missing, ill-typed or out-of-range
+/// field.
 pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
     let model = match str_field(doc, "diffraction_model")? {
         "angular_spectrum" => DiffractionModel::AngularSpectrum,
@@ -405,11 +415,15 @@ pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
         "smooth_random" => MaskInit::SmoothRandom,
         other => return Err(format!("unknown mask init \"{other}\"")),
     };
-    Ok(DonnConfig {
+    let grid = usize_field(doc, "grid")?;
+    if grid == 0 {
+        return Err("\"grid\" must be positive".into());
+    }
+    let config = DonnConfig {
         geometry: Geometry::new(
-            usize_field(doc, "grid")?,
-            num_field(doc, "pixel_pitch")?,
-            num_field(doc, "wavelength")?,
+            grid,
+            positive_field(doc, "pixel_pitch")?,
+            positive_field(doc, "wavelength")?,
         ),
         distances: Distances {
             source_to_first: num_field(doc, "source_to_first")?,
@@ -434,7 +448,41 @@ pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
         loss,
         normalize_detector: bool_field(doc, "normalize_detector")?,
         init,
-    })
+    };
+    if config.num_layers == 0 {
+        return Err("\"num_layers\" must be positive".into());
+    }
+    if !config.distances.is_uniform() {
+        return Err(
+            "\"source_to_first\", \"between_layers\" and \"last_to_detector\" must be equal".into(),
+        );
+    }
+    let detector = config.detector;
+    let (rows, cols) = detector.layout;
+    if rows == 0
+        || cols == 0
+        || rows
+            .checked_mul(cols)
+            .is_none_or(|cells| cells < detector.num_classes)
+    {
+        return Err(format!(
+            "\"layout_rows\" x \"layout_cols\" = {rows}x{cols} cannot hold {} \"num_classes\"",
+            detector.num_classes
+        ));
+    }
+    let cell = (grid / rows).min(grid / cols);
+    if detector.region_size > cell {
+        return Err(format!(
+            "\"region_size\" {} exceeds the {cell}-pixel layout cell",
+            detector.region_size
+        ));
+    }
+    if let Padding::ToSize(size) = config.padding {
+        if size < grid {
+            return Err(format!("\"padding\" {size} is smaller than the grid"));
+        }
+    }
+    Ok(config)
 }
 
 /// Parses one wire payload. `grid` sizes every shipped plane; the
@@ -448,7 +496,8 @@ pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
 ///
 /// Returns a description of the first structural problem (malformed
 /// header, unknown type, missing or ill-typed field, bulk size mismatch,
-/// protocol version skew).
+/// protocol version skew), or of the first init field the peer could not
+/// build a model or train from.
 pub fn decode(payload: &[u8], grid: Option<usize>) -> Result<Message, String> {
     let (doc, bulk) = split(payload)?;
     match str_field(&doc, "type")? {
@@ -468,16 +517,31 @@ pub fn decode(payload: &[u8], grid: Option<usize>) -> Result<Message, String> {
             }
             let labels = usizes_from_json(field(&doc, "labels")?, "labels")?;
             let images = usize_field(&doc, "images")?;
+            if images == 0 {
+                return Err("\"images\" must be positive".into());
+            }
             if images != labels.len() {
                 return Err(format!(
                     "\"images\" counts {images}, \"labels\" holds {}",
                     labels.len()
                 ));
             }
+            let classes = config.detector.num_classes;
+            if let Some(label) = labels.iter().find(|&&label| label >= classes) {
+                return Err(format!(
+                    "\"labels\" holds {label}, outside {classes} classes"
+                ));
+            }
             let freeze = doc
                 .get("freeze")
                 .map(|_| usize_field(&doc, "freeze"))
                 .transpose()?;
+            if let Some(count) = freeze.filter(|&count| count != config.num_layers) {
+                return Err(format!(
+                    "\"freeze\" counts {count} masks for {} layers",
+                    config.num_layers
+                ));
+            }
             let heartbeat_ms = usize_field(&doc, "heartbeat_ms")? as u64;
             let total = images
                 .checked_add(freeze.unwrap_or(0))
@@ -790,6 +854,45 @@ mod tests {
         }
         let unlabeled = edit_header(&init, |h| h.replace("\"labels\":[5]", "\"labels\":[]"));
         rejects(&unlabeled, None, "labels");
+        // Values the peer would panic on — in `Geometry::new`, `Donn::new`
+        // or training — are refused by name. The old value stays in the
+        // header under another key.
+        for (key, value) in [
+            ("grid", "0"),
+            ("pixel_pitch", "-1e-5"),
+            ("wavelength", "0"),
+            ("num_layers", "0"),
+            ("between_layers", "0.5"),
+            ("layout_rows", "0"),
+            ("layout_cols", "1"),
+            ("region_size", "9"),
+            ("padding", "8"),
+            ("labels", "[10]"),
+        ] {
+            let header = edit_header(&init, |h| {
+                h.replace(
+                    &format!("\"{key}\":"),
+                    &format!("\"{key}\":{value},\"was\":"),
+                )
+            });
+            rejects(&header, None, key);
+        }
+        let empty = encode(&Message::Init {
+            config: DonnConfig::scaled(16),
+            images: Vec::new(),
+            labels: Vec::new(),
+            freeze: None,
+            heartbeat_ms: 20,
+        });
+        rejects(&empty, None, "images");
+        let short_freeze = encode(&Message::Init {
+            config: DonnConfig::scaled(16),
+            images: vec![Grid::zeros(16, 16)],
+            labels: vec![5],
+            freeze: Some(vec![Grid::zeros(16, 16); 2]),
+            heartbeat_ms: 20,
+        });
+        rejects(&short_freeze, None, "freeze");
 
         // The bulk must be exactly what the header's counts announce.
         let step = encode(&Message::Step {

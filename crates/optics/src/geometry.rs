@@ -147,6 +147,13 @@ impl Distances {
     pub fn paper() -> Self {
         Distances::uniform(PAPER_DISTANCE)
     }
+
+    /// Whether all three gaps are equal (within 1e-12 m), so one transfer
+    /// function serves every hop.
+    pub fn is_uniform(&self) -> bool {
+        (self.source_to_first - self.between_layers).abs() < 1e-12
+            && (self.between_layers - self.last_to_detector).abs() < 1e-12
+    }
 }
 
 impl Default for Distances {

@@ -223,7 +223,10 @@ impl Client {
         // answered, so one replay on a fresh connection is safe. Once
         // response bytes have started flowing (or on a timeout, where the
         // request may still be executing), any failure is final.
-        let stale = match conn.send(method, path, body).and_then(|()| conn.response_started()) {
+        let stale = match conn
+            .send(method, path, body)
+            .and_then(|()| conn.response_started())
+        {
             Ok(true) => {
                 let reply = read_response(&mut conn.reader);
                 if reply.is_err() {

@@ -12,7 +12,8 @@
 //!                              ▼
 //!              N dispatcher shards (per-model queues, work-stealing,
 //!              admission control: degrade batches under p99 pressure,
-//!              then shed with 429 + retry_after_ms)
+//!              then shed with 429 + retry_after_ms once the one
+//!              pool-wide queue is full)
 //!                              │  one BatchCGrid ─▶ logits_batch
 //!                              ▼
 //!  10k clients ◀──JSON── event loop ◀── completion queue + waker
@@ -29,8 +30,7 @@
 //! | [`cache`] | memory-budgeted LRU over the mask-independent first hop |
 //! | [`registry`] | named model variants: ideal / quantized / deployed / noise-injected |
 //! | [`head`] | selectable readout heads: region sums or differential detection |
-//! | [`shard`] | sharded dispatch: per-model queues, work-stealing, admission control |
-//! | [`batcher`] | the classic dynamic micro-batcher API, now a 1-shard façade over [`shard`] |
+//! | [`shard`] | sharded dispatch: per-model queues, work-stealing, one pool-wide queue bound, admission control |
 //! | [`server`] | the event-loop frontend: [`ServerBuilder`], `/v1` + `/v2` routing, graceful drain |
 //!
 //! Because the batched engine is per-sample deterministic across batch
@@ -64,7 +64,6 @@
 #![deny(unsafe_code)] // confined: `poll` opts back in at module level
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod cache;
 pub mod client;
 pub mod head;
@@ -80,11 +79,11 @@ pub mod shard;
 // (and every existing caller) working unchanged.
 pub use photonn_wire::json;
 
-pub use batcher::{BatchPolicy, Batcher, SubmitError};
 pub use cache::FirstHopCache;
 pub use client::{ApiError, BatchInference, Client, ClientError, Inference};
 pub use head::ReadoutHead;
 pub use json::Json;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use registry::{ModelRegistry, ServedModel, VariantKind};
-pub use server::{ServeConfig, Server, ServerBuilder, ServerConfig, ServerHandle};
+pub use server::{ServeConfig, ServerBuilder, ServerHandle};
+pub use shard::{BatchPolicy, SubmitError};

@@ -27,7 +27,6 @@
 //!   selection, and structured errors
 //!   (`{"code", "message", "retry_after_ms"}`).
 
-use crate::batcher::{BatchPolicy, SubmitError};
 use crate::cache::FirstHopCache;
 use crate::head::ReadoutHead;
 use crate::http::{parse_available, write_response, ParseOutcome, ProtocolError, RequestRef};
@@ -35,7 +34,9 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::poll::{Interest, Poller, WakeHandle, Waker};
 use crate::registry::ModelRegistry;
-use crate::shard::{Completion, CompletionHandle, CompletionSink, Reply, ShardPool};
+use crate::shard::{
+    BatchPolicy, Completion, CompletionHandle, CompletionSink, ShardPool, SubmitError,
+};
 use photonn_donn::argmax;
 use photonn_math::Grid;
 use std::collections::VecDeque;
@@ -71,7 +72,8 @@ fn conn_token(slot: usize, generation: u32) -> u64 {
 /// Server construction options — the full set behind [`ServerBuilder`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Dispatcher coalescing policy (per shard).
+    /// Dispatcher coalescing policy; its queue bound counts jobs across
+    /// every shard.
     pub policy: BatchPolicy,
     /// Input-hop cache budget in bytes; `0` disables the cache.
     pub cache_budget_bytes: usize,
@@ -103,26 +105,6 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             max_connections: 8192,
             max_body_bytes: crate::http::MAX_BODY_BYTES,
-        }
-    }
-}
-
-/// Legacy server construction options, kept so pre-redesign callers
-/// compile unchanged. [`ServerBuilder`] exposes the full surface.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Dispatcher coalescing policy.
-    pub policy: BatchPolicy,
-    /// Input-hop cache budget in bytes; `0` disables the cache.
-    pub cache_budget_bytes: usize,
-}
-
-impl Default for ServerConfig {
-    /// Default policy with a 64 MiB input-hop cache.
-    fn default() -> Self {
-        ServerConfig {
-            policy: BatchPolicy::default(),
-            cache_budget_bytes: 64 << 20,
         }
     }
 }
@@ -267,34 +249,6 @@ impl ServerBuilder {
             wake,
             event_loop: Some(thread),
         })
-    }
-}
-
-/// The inference server's legacy constructor namespace.
-pub struct Server;
-
-impl Server {
-    /// Binds `addr` and starts serving `registry` under the legacy
-    /// `config` — a thin shim over [`ServerBuilder`], kept so
-    /// pre-redesign call sites compile unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry is empty or the policy is degenerate.
-    #[deprecated(note = "use ServerBuilder for the full v2 surface")]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        registry: ModelRegistry,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        ServerBuilder::new(registry)
-            .policy(config.policy)
-            .cache_budget_bytes(config.cache_budget_bytes)
-            .bind(addr)
     }
 }
 
@@ -493,7 +447,7 @@ impl EventLoop {
                         io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
                     ) =>
                 {
-                    continue // transient: the next accept may succeed
+                    continue; // transient: the next accept may succeed
                 }
                 Err(_) => {
                     // Persistent failure (typically EMFILE/ENFILE when fd
@@ -969,10 +923,7 @@ fn v1_infer(
     let handle = CompletionHandle::batch(sink, token, slot, 1)
         .pop()
         .expect("one handle");
-    match core
-        .pool
-        .submit(&model, ReadoutHead::Sum, image, Reply::Completion(handle))
-    {
+    match core.pool.submit(&model, ReadoutHead::Sum, image, handle) {
         // Counted only on acceptance, as MetricsSnapshot documents;
         // refusals are visible in the 4xx/429 counters.
         Ok(()) => {
@@ -1060,10 +1011,7 @@ fn v2_infer(
             )
         }
     };
-    let replies = CompletionHandle::batch(sink, token, slot, images.len())
-        .into_iter()
-        .map(Reply::Completion)
-        .collect();
+    let replies = CompletionHandle::batch(sink, token, slot, images.len());
     match core.pool.submit_batch(&model, head, images, replies) {
         Ok(()) => {
             core.metrics.record_request();

@@ -1,5 +1,5 @@
 //! Sharded dispatch: N dispatcher shards with per-model queues,
-//! work-stealing, and admission control.
+//! work-stealing, one pool-wide queue bound, and admission control.
 //!
 //! Each shard owns a FIFO of `ModelGroup`s — same-model jobs batch
 //! together because they share one `BatchCGrid` forward pass. Jobs route
@@ -8,21 +8,19 @@
 //! deepest peer (a whole trailing group, or the back half of a lone large
 //! group) so a single hot model still spreads across every core.
 //!
-//! Admission control watches the recent completion-latency window: when
-//! p99 exceeds the configured target, the effective batch ceiling and
+//! Admission control watches the pool's recent completion-latency window:
+//! when p99 exceeds the configured target, the effective batch ceiling and
 //! coalescing wait shrink (halving per degradation level) — trading
-//! throughput for latency *before* load shedding starts. Only when a
-//! shard's bounded queue is actually full does a submission bounce with
+//! throughput for latency *before* load shedding starts. Only when the
+//! pool's bounded queue is actually full does a submission bounce with
 //! [`SubmitError::QueueFull`], which the HTTP layer answers as 429 with a
-//! `retry_after_ms` hint.
+//! `retry_after_ms` hint. The bound counts parked jobs across every shard,
+//! so a 429 means the same thing at any shard count.
 //!
-//! Replies fan out two ways: an [`mpsc`] channel per job (the classic
-//! [`crate::batcher::Batcher`] path, which is now a 1-shard façade over
-//! this module), or a [`CompletionSink`] shared with the event loop —
-//! batches aggregate per-request, then one completion record lands on the
-//! sink and the loop's waker is rung.
+//! Each job carries a [`CompletionHandle`]: batches aggregate
+//! per-request, then one completion record lands on a [`CompletionSink`]
+//! shared with the event loop and the loop's waker is rung.
 
-use crate::batcher::{BatchPolicy, SubmitError};
 use crate::cache::FirstHopCache;
 use crate::head::ReadoutHead;
 use crate::metrics::{Metrics, ShardCounters};
@@ -30,8 +28,9 @@ use crate::poll::WakeHandle;
 use crate::registry::{ModelRegistry, ServedModel};
 use photonn_math::{BatchCGrid, BatchGrid, CGrid, Grid};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often an idle shard re-checks its peers for stealable work.
@@ -42,6 +41,87 @@ const MAX_DEGRADE_LEVEL: usize = 3;
 const ADMISSION_WINDOW: usize = 256;
 /// Observations between admission-level recomputations.
 const ADMISSION_STRIDE: u64 = 32;
+
+// -------------------------------------------------------------- policy
+
+/// Coalescing and capacity policy of the dispatcher pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Largest number of requests fused into one batch.
+    pub max_batch: usize,
+    /// Longest time the head request may wait for co-travelers, in
+    /// microseconds. `0` dispatches immediately (batch size becomes
+    /// whatever already queued).
+    pub max_wait_us: u64,
+    /// Most jobs parked across the whole pool, whatever the shard count;
+    /// submissions beyond it are refused.
+    pub queue_capacity: usize,
+    /// FFT worker threads per dispatched batch (`0` is treated as 1).
+    pub threads: usize,
+}
+
+impl Default for BatchPolicy {
+    /// A balanced default: coalesce up to 16 requests for at most 2 ms,
+    /// queue at most 256, and use up to 8 cores.
+    fn default() -> Self {
+        BatchPolicy {
+            max_batch: 16,
+            max_wait_us: 2_000,
+            queue_capacity: 256,
+            threads: std::thread::available_parallelism().map_or(2, |p| p.get().min(8)),
+        }
+    }
+}
+
+impl BatchPolicy {
+    /// The no-batching baseline: every request dispatches alone.
+    pub fn unbatched() -> Self {
+        BatchPolicy {
+            max_batch: 1,
+            max_wait_us: 0,
+            ..BatchPolicy::default()
+        }
+    }
+
+    fn validate(&self) {
+        assert!(self.max_batch > 0, "max_batch must be positive");
+        assert!(self.queue_capacity > 0, "queue_capacity must be positive");
+    }
+}
+
+/// Why a submission was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The bounded queue is at capacity (HTTP 429).
+    QueueFull,
+    /// No model with this name is registered (HTTP 404).
+    UnknownModel(String),
+    /// The image does not match the model's grid (HTTP 400).
+    ShapeMismatch {
+        /// Expected side length.
+        expected: usize,
+        /// Received shape.
+        got: (usize, usize),
+    },
+    /// The pool is shutting down (HTTP 503).
+    ShuttingDown,
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::QueueFull => write!(f, "queue full"),
+            SubmitError::UnknownModel(name) => write!(f, "unknown model '{name}'"),
+            SubmitError::ShapeMismatch { expected, got } => write!(
+                f,
+                "image shape {got:?} does not match the {expected}x{expected} grid"
+            ),
+            SubmitError::ShuttingDown => write!(f, "server is shutting down"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 // ------------------------------------------------------------- replies
 
@@ -146,24 +226,6 @@ impl CompletionHandle {
     }
 }
 
-/// How a job's logits travel back to the requester.
-pub enum Reply {
-    /// A per-job channel (the blocking [`crate::batcher::Batcher`] path).
-    Channel(mpsc::Sender<Vec<f64>>),
-    /// An event-loop completion (one sample of a `/v1` or `/v2` request).
-    Completion(CompletionHandle),
-}
-
-impl Reply {
-    fn complete(self, logits: Vec<f64>) {
-        match self {
-            // A gone receiver just means the client hung up.
-            Reply::Channel(tx) => drop(tx.send(logits)),
-            Reply::Completion(handle) => handle.complete(logits),
-        }
-    }
-}
-
 // ----------------------------------------------------------- admission
 
 /// Latency-pressure admission control shared by every shard.
@@ -245,7 +307,7 @@ struct Job {
     model: Arc<ServedModel>,
     head: ReadoutHead,
     image: Grid,
-    reply: Reply,
+    reply: CompletionHandle,
     enqueued: Instant,
 }
 
@@ -274,6 +336,8 @@ struct PoolInner {
     cache: Option<FirstHopCache>,
     metrics: Arc<Metrics>,
     admission: Admission,
+    /// Jobs parked across every shard: the queue bound admission checks,
+    /// and the `queue_depth` gauge.
     total_depth: AtomicUsize,
 }
 
@@ -376,7 +440,8 @@ impl ShardPool {
     }
 
     /// Enqueues one sample for `model` under `head`; `reply` receives the
-    /// logits once its batch has run.
+    /// logits once its batch has run. The one-image case of
+    /// [`ShardPool::submit_batch`].
     ///
     /// # Errors
     ///
@@ -387,56 +452,9 @@ impl ShardPool {
         model: &Arc<ServedModel>,
         head: ReadoutHead,
         image: Grid,
-        reply: Reply,
+        reply: CompletionHandle,
     ) -> Result<(), SubmitError> {
-        let n = model.grid();
-        if image.shape() != (n, n) {
-            return Err(SubmitError::ShapeMismatch {
-                expected: n,
-                got: image.shape(),
-            });
-        }
-        let index = self.route(model.name());
-        let shard = &self.inner.shards[index];
-        let depth_after;
-        {
-            let mut state = shard.state.lock().expect("shard lock");
-            if state.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if state.depth >= self.inner.policy.queue_capacity {
-                return Err(SubmitError::QueueFull);
-            }
-            let job = Job {
-                model: Arc::clone(model),
-                head,
-                image,
-                reply,
-                enqueued: Instant::now(),
-            };
-            match state
-                .groups
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g.model, model))
-            {
-                Some(group) => group.jobs.push_back(job),
-                None => state.groups.push_back(ModelGroup {
-                    model: Arc::clone(model),
-                    jobs: VecDeque::from([job]),
-                }),
-            }
-            state.depth += 1;
-            depth_after = state.depth;
-            self.inner.counters[index]
-                .queue_depth
-                .store(state.depth, Ordering::Relaxed);
-            let total = self.inner.total_depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.inner.metrics.set_queue_depth(total);
-        }
-        self.inner.metrics.record_model_request(model.name());
-        shard.wake.notify_all();
-        self.ping_idle_peers(index, depth_after);
-        Ok(())
+        self.submit_batch(model, head, vec![image], vec![reply])
     }
 
     /// Enqueues a whole batch of samples for `model` under `head`
@@ -457,7 +475,7 @@ impl ShardPool {
         model: &Arc<ServedModel>,
         head: ReadoutHead,
         images: Vec<Grid>,
-        replies: Vec<Reply>,
+        replies: Vec<CompletionHandle>,
     ) -> Result<(), SubmitError> {
         assert_eq!(images.len(), replies.len(), "one reply per image");
         assert!(!images.is_empty(), "empty batch");
@@ -475,13 +493,23 @@ impl ShardPool {
         let shard = &self.inner.shards[index];
         let depth_after;
         {
+            // Held across the reservation, so a shutdown wins over it.
             let mut state = shard.state.lock().expect("shard lock");
             if state.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            if state.depth + count > self.inner.policy.queue_capacity {
-                return Err(SubmitError::QueueFull);
-            }
+            // One pool-wide bound, reserved in one atomic step so submits
+            // on other shards cannot over-admit; stolen jobs still count.
+            // Relaxed: the shard lock, not this counter, publishes jobs.
+            let capacity = self.inner.policy.queue_capacity;
+            let total = self
+                .inner
+                .total_depth
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                    Some(depth + count).filter(|&total| total <= capacity)
+                })
+                .map_err(|_| SubmitError::QueueFull)?
+                + count;
             let now = Instant::now();
             let jobs = images.into_iter().zip(replies).map(|(image, reply)| Job {
                 model: Arc::clone(model),
@@ -506,7 +534,6 @@ impl ShardPool {
             self.inner.counters[index]
                 .queue_depth
                 .store(state.depth, Ordering::Relaxed);
-            let total = self.inner.total_depth.fetch_add(count, Ordering::Relaxed) + count;
             self.inner.metrics.set_queue_depth(total);
         }
         for _ in 0..count {
@@ -620,27 +647,21 @@ fn next_batch(pool: &PoolInner, index: usize) -> Option<Vec<Job>> {
         // parked behind it (its max_wait is always consulted). A group
         // that has already filled a batch goes immediately — oldest such
         // group first when several are full.
+        let head_of = |group: &ModelGroup| group.jobs.front().expect("non-empty group").enqueued;
         let mut oldest = 0;
         let mut full: Option<usize> = None;
         for (i, group) in state.groups.iter().enumerate() {
-            let head = group.jobs.front().expect("non-empty group").enqueued;
-            if head < state.groups[oldest].jobs.front().expect("non-empty group").enqueued {
+            let head = head_of(group);
+            if head < head_of(&state.groups[oldest]) {
                 oldest = i;
             }
             if group.jobs.len() >= max_batch
-                && full.is_none_or(|f| {
-                    head < state.groups[f].jobs.front().expect("non-empty group").enqueued
-                })
+                && full.is_none_or(|f| head < head_of(&state.groups[f]))
             {
                 full = Some(i);
             }
         }
-        let deadline = state.groups[oldest]
-            .jobs
-            .front()
-            .expect("non-empty group")
-            .enqueued
-            + Duration::from_micros(max_wait_us);
+        let deadline = head_of(&state.groups[oldest]) + Duration::from_micros(max_wait_us);
         let now = Instant::now();
         let pick = if state.shutdown || now >= deadline {
             Some(oldest)
@@ -834,8 +855,9 @@ fn run_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poll::Waker;
+    use crate::poll::{Interest, Poller, Waker};
     use photonn_datasets::{Dataset, Family};
+    use photonn_donn::deploy::FabricationModel;
     use photonn_donn::{Donn, DonnConfig};
     use photonn_math::Rng;
 
@@ -845,6 +867,7 @@ mod tests {
         let mut reg = ModelRegistry::new();
         reg.register("ideal", donn.clone());
         reg.register_quantized("q8", &donn, 8);
+        reg.register_deployed("deployed", &donn, FabricationModel::new(0.1));
         (Arc::new(reg), donn)
     }
 
@@ -862,30 +885,338 @@ mod tests {
         }
     }
 
+    /// Receives completions the way the event loop does: a sink whose
+    /// waker interrupts a poll. Each request's id is its `conn` token.
+    struct Inbox {
+        poller: Poller,
+        waker: Waker,
+        sink: Arc<CompletionSink>,
+        landed: Vec<Completion>,
+    }
+
+    impl Inbox {
+        fn new() -> Inbox {
+            let waker = Waker::new().unwrap();
+            let mut poller = Poller::new().unwrap();
+            poller.register(waker.fd(), 0, Interest::READ).unwrap();
+            let sink = CompletionSink::new(waker.handle().unwrap());
+            Inbox {
+                poller,
+                waker,
+                sink,
+                landed: Vec::new(),
+            }
+        }
+
+        /// Submits `image` as the one-sample request `id`, as `/v1` does.
+        fn submit(
+            &self,
+            pool: &ShardPool,
+            model: &Arc<ServedModel>,
+            head: ReadoutHead,
+            image: &Grid,
+            id: u64,
+        ) -> Result<(), SubmitError> {
+            let reply = CompletionHandle::batch(&self.sink, id, 0, 1).remove(0);
+            pool.submit(model, head, image.clone(), reply)
+        }
+
+        /// Request `id`'s completion, or `None` after `timeout`.
+        fn recv_timeout(&mut self, id: u64, timeout: Duration) -> Option<Completion> {
+            let deadline = Instant::now() + timeout;
+            let mut events = Vec::new();
+            loop {
+                self.landed.extend(self.sink.drain());
+                if let Some(at) = self.landed.iter().position(|c| c.conn == id) {
+                    return Some(self.landed.swap_remove(at));
+                }
+                let left = deadline.checked_duration_since(Instant::now())?;
+                self.poller.wait(&mut events, Some(left)).unwrap();
+                self.waker.drain();
+            }
+        }
+
+        /// The logits of the one-sample request `id`.
+        fn recv(&mut self, id: u64) -> Vec<f64> {
+            let mut results = self
+                .recv_timeout(id, Duration::from_secs(30))
+                .expect("request never completed")
+                .results;
+            assert_eq!(results.len(), 1);
+            results.remove(0)
+        }
+    }
+
     #[test]
     fn multi_shard_pool_serves_bit_identical_logits() {
         let (reg, donn) = registry();
-        let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::new(reg, policy(8, 2_000), 4, None, Arc::clone(&metrics), 0);
+        let q8 = reg.get("q8").unwrap();
         let imgs = images(12);
-        let receivers: Vec<_> = imgs
-            .iter()
-            .map(|img| {
-                let model = pool.resolve(None).unwrap().clone();
-                let (tx, rx) = mpsc::channel();
-                pool.submit(&model, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                    .unwrap();
-                rx
-            })
-            .collect();
-        for (img, rx) in imgs.iter().zip(receivers) {
-            assert_eq!(
-                rx.recv().unwrap(),
-                donn.logits(img),
-                "shard routed wrong sample"
+        for shards in [1, 4] {
+            let pool = ShardPool::new(
+                Arc::clone(&reg),
+                policy(8, 2_000),
+                shards,
+                None,
+                Arc::new(Metrics::new()),
+                0,
             );
+            let models = [
+                pool.resolve(None).unwrap(),
+                pool.resolve(Some("q8")).unwrap(),
+            ];
+            let mut inbox = Inbox::new();
+            // Distinct images alternating between two models: coalescing
+            // and stealing may slice the burst arbitrarily, yet every
+            // request must get its own image's logits from its own model.
+            for (id, img) in (0..).zip(&imgs) {
+                let model = models[id as usize % 2];
+                inbox
+                    .submit(&pool, model, ReadoutHead::Sum, img, id)
+                    .unwrap();
+            }
+            for (id, img) in (0..).zip(&imgs) {
+                let want = if id % 2 == 0 {
+                    donn.logits(img)
+                } else {
+                    q8.logits_batch(&[img], 1).remove(0)
+                };
+                assert_eq!(inbox.recv(id), want, "{shards} shards routed wrong sample");
+            }
+            assert_eq!(pool.queue_depth(), 0);
         }
+    }
+
+    #[test]
+    fn queue_bound_is_pool_wide_at_any_shard_count() {
+        let (reg, _) = registry();
+        let imgs = images(4);
+        for shards in [1, 2, 4] {
+            // A coalescing wait no test outlives parks every admitted job
+            // until shutdown drains the pool.
+            let pool = ShardPool::new(
+                Arc::clone(&reg),
+                BatchPolicy {
+                    max_batch: 8,
+                    max_wait_us: 60_000_000,
+                    queue_capacity: 2,
+                    threads: 1,
+                },
+                shards,
+                None,
+                Arc::new(Metrics::new()),
+                0,
+            );
+            let ideal = pool.resolve(Some("ideal")).unwrap().clone();
+            let deployed = pool.resolve(Some("deployed")).unwrap().clone();
+            if shards > 1 {
+                assert_ne!(pool.route("ideal"), pool.route("deployed"));
+            }
+            let mut inbox = Inbox::new();
+            inbox
+                .submit(&pool, &ideal, ReadoutHead::Sum, &imgs[0], 0)
+                .unwrap();
+            // One slot left: a 2-sample batch on the other shard is
+            // refused whole.
+            let pair = CompletionHandle::batch(&inbox.sink, 1, 0, 2);
+            assert_eq!(
+                pool.submit_batch(&deployed, ReadoutHead::Sum, imgs[1..3].to_vec(), pair),
+                Err(SubmitError::QueueFull),
+                "{shards} shards"
+            );
+            inbox
+                .submit(&pool, &deployed, ReadoutHead::Sum, &imgs[1], 2)
+                .unwrap();
+            assert_eq!(pool.queue_depth(), 2);
+            for model in [&ideal, &deployed] {
+                assert_eq!(
+                    inbox.submit(&pool, model, ReadoutHead::Sum, &imgs[3], 3),
+                    Err(SubmitError::QueueFull),
+                    "{shards} shards admitted a third job"
+                );
+            }
+            // The parked jobs still complete.
+            pool.shutdown();
+            assert_eq!(inbox.recv(0).len(), 10);
+            assert_eq!(inbox.recv(2).len(), 10);
+            assert_eq!(pool.queue_depth(), 0);
+        }
+    }
+
+    #[test]
+    fn coalescing_respects_max_batch() {
+        let (reg, _) = registry();
+        let metrics = Arc::new(Metrics::new());
+        // Generous wait so the dispatcher *wants* to coalesce everything;
+        // max_batch must still cap every dispatched group at 2.
+        let pool = ShardPool::new(reg, policy(2, 50_000), 1, None, Arc::clone(&metrics), 0);
+        let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
+        let imgs = images(5);
+        for (id, img) in (0..).zip(&imgs) {
+            inbox
+                .submit(&pool, &model, ReadoutHead::Sum, img, id)
+                .unwrap();
+        }
+        for id in 0..5 {
+            inbox.recv(id);
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.batch_hist.iter().sum::<u64>(), snap.batches_total);
+        assert!(snap.max_batch_observed <= 2, "max_batch violated");
+        assert!(snap.batches_total >= 3, "5 jobs need >= 3 batches of <= 2");
+        // Every job was dispatched exactly once.
+        let jobs: u64 = snap.batch_hist[0] + 2 * snap.batch_hist[1];
+        assert_eq!(jobs, 5);
+    }
+
+    #[test]
+    fn max_wait_dispatches_partial_batches() {
+        let (reg, donn) = registry();
+        // max_batch far above traffic: only the deadline can trigger.
+        let pool = ShardPool::new(
+            reg,
+            policy(64, 20_000),
+            1,
+            None,
+            Arc::new(Metrics::new()),
+            0,
+        );
+        let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
+        let img = images(1).remove(0);
+        let start = Instant::now();
+        inbox
+            .submit(&pool, &model, ReadoutHead::Sum, &img, 0)
+            .unwrap();
+        let logits = inbox.recv(0);
+        let elapsed = start.elapsed();
+        assert_eq!(logits, donn.logits(&img));
+        assert!(
+            elapsed >= Duration::from_micros(10_000),
+            "dispatched before the deadline could have elapsed: {elapsed:?}"
+        );
+        assert!(elapsed < Duration::from_secs(5), "deadline never fired");
+    }
+
+    #[test]
+    fn submit_validates_model_and_shape_upfront() {
+        let (reg, _) = registry();
+        let pool = ShardPool::new(reg, policy(4, 100), 1, None, Arc::new(Metrics::new()), 0);
+        assert_eq!(
+            pool.resolve(Some("nope")).unwrap_err(),
+            SubmitError::UnknownModel("nope".into())
+        );
+        let model = pool.resolve(None).unwrap().clone();
+        let inbox = Inbox::new();
+        assert_eq!(
+            inbox.submit(&pool, &model, ReadoutHead::Sum, &Grid::zeros(16, 16), 0),
+            Err(SubmitError::ShapeMismatch {
+                expected: 32,
+                got: (16, 16)
+            })
+        );
         assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn shutdown_drains_parked_jobs_then_refuses() {
+        let (reg, donn) = registry();
+        let pool = ShardPool::new(
+            reg,
+            policy(64, 1_000_000),
+            1,
+            None,
+            Arc::new(Metrics::new()),
+            0,
+        );
+        let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
+        let imgs = images(3);
+        for (id, img) in (0..).zip(&imgs) {
+            inbox
+                .submit(&pool, &model, ReadoutHead::Sum, img, id)
+                .unwrap();
+        }
+        // Shutdown before the 1 s coalescing deadline: the drain must
+        // still answer every parked job.
+        pool.shutdown();
+        for (id, img) in (0..).zip(&imgs) {
+            assert_eq!(inbox.recv(id), donn.logits(img));
+        }
+        assert_eq!(
+            inbox.submit(&pool, &model, ReadoutHead::Sum, &imgs[0], 3),
+            Err(SubmitError::ShuttingDown)
+        );
+    }
+
+    #[test]
+    fn cache_path_is_bit_identical_and_counts_hits() {
+        let (reg, donn) = registry();
+        let metrics = Arc::new(Metrics::new());
+        let cache = FirstHopCache::new(64 << 20);
+        let pool = ShardPool::new(
+            reg,
+            policy(4, 2_000),
+            1,
+            Some(cache),
+            Arc::clone(&metrics),
+            0,
+        );
+        let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
+        let imgs = images(4);
+        let mut id = 0;
+        for round in 0..2 {
+            for img in &imgs {
+                inbox
+                    .submit(&pool, &model, ReadoutHead::Sum, img, id)
+                    .unwrap();
+                assert_eq!(inbox.recv(id), donn.logits(img), "round {round}");
+                id += 1;
+            }
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, 8);
+        assert!(
+            snap.cache_hits >= 4,
+            "second round must hit the cache: {snap:?}"
+        );
+        assert!(snap.cache_misses >= 4, "first round must miss");
+    }
+
+    #[test]
+    fn duplicate_images_within_a_batch_share_one_first_hop() {
+        let (reg, donn) = registry();
+        let metrics = Arc::new(Metrics::new());
+        let cache = FirstHopCache::new(64 << 20);
+        // Large max_wait so all submissions coalesce into one batch.
+        let pool = ShardPool::new(
+            reg,
+            policy(8, 100_000),
+            1,
+            Some(cache),
+            Arc::clone(&metrics),
+            0,
+        );
+        let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
+        let img = images(1).remove(0);
+        for id in 0..4 {
+            inbox
+                .submit(&pool, &model, ReadoutHead::Sum, &img, id)
+                .unwrap();
+        }
+        let want = donn.logits(&img);
+        for id in 0..4 {
+            assert_eq!(inbox.recv(id), want);
+        }
+        // Per-request accounting: every request was either a cold miss
+        // (deduped into one computation when coalesced) or — if timing
+        // split the batch — a hit on the freshly cached hop.
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, 4);
+        assert!(snap.cache_misses >= 1);
     }
 
     #[test]
@@ -910,21 +1241,18 @@ mod tests {
         );
         let imgs = images(16);
         let model = pool.resolve(None).unwrap().clone();
+        let mut inbox = Inbox::new();
         // Whether the idle shard wins the race against the home shard's
         // own drain depends on thread scheduling, so burst repeatedly; a
         // single stolen batch anywhere proves the mechanism.
         for round in 0..50 {
-            let receivers: Vec<_> = imgs
-                .iter()
-                .map(|img| {
-                    let (tx, rx) = mpsc::channel();
-                    pool.submit(&model, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                        .unwrap();
-                    rx
-                })
-                .collect();
-            for (img, rx) in imgs.iter().zip(receivers) {
-                assert_eq!(rx.recv().unwrap(), donn.logits(img));
+            for (id, img) in (0..).zip(&imgs) {
+                inbox
+                    .submit(&pool, &model, ReadoutHead::Sum, img, id)
+                    .unwrap();
+            }
+            for (id, img) in (0..).zip(&imgs) {
+                assert_eq!(inbox.recv(id), donn.logits(img));
             }
             let snap = metrics.snapshot();
             if snap.steals_total > 0 && snap.per_shard.iter().all(|s| s.batches > 0) {
@@ -947,30 +1275,28 @@ mod tests {
         let imgs = images(5);
         let ideal = pool.resolve(Some("ideal")).unwrap().clone();
         let q8 = pool.resolve(Some("q8")).unwrap().clone();
-        let (tx, old_rx) = mpsc::channel();
-        pool.submit(&ideal, ReadoutHead::Sum, imgs[0].clone(), Reply::Channel(tx))
+        let mut inbox = Inbox::new();
+        inbox
+            .submit(&pool, &ideal, ReadoutHead::Sum, &imgs[0], 0)
             .unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let full_rxs: Vec<_> = imgs[1..]
-            .iter()
-            .map(|img| {
-                let (tx, rx) = mpsc::channel();
-                pool.submit(&q8, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                    .unwrap();
-                rx
-            })
-            .collect();
+        for (id, img) in (1..).zip(&imgs[1..]) {
+            inbox.submit(&pool, &q8, ReadoutHead::Sum, img, id).unwrap();
+        }
         // The batch-sized q8 group must dispatch right away instead of
         // queueing behind ideal's far-off coalescing deadline.
-        for rx in &full_rxs {
-            rx.recv_timeout(Duration::from_millis(500))
+        for id in 1..5 {
+            inbox
+                .recv_timeout(id, Duration::from_millis(500))
                 .expect("full group stuck behind an older non-full group");
         }
         // And the older group still goes out on its own deadline — the
         // hot model cannot starve it.
         assert_eq!(
-            old_rx.recv_timeout(Duration::from_secs(10)).unwrap(),
-            donn.logits(&imgs[0]),
+            inbox
+                .recv_timeout(0, Duration::from_secs(10))
+                .map(|c| c.results),
+            Some(vec![donn.logits(&imgs[0])]),
             "older group starved or misrouted"
         );
     }
@@ -980,33 +1306,20 @@ mod tests {
         let (reg, donn) = registry();
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::new(reg, policy(8, 1_000), 2, None, metrics, 0);
-        let waker = Waker::new().unwrap();
-        let sink = CompletionSink::new(waker.handle().unwrap());
+        let mut inbox = Inbox::new();
         let imgs = images(5);
         let model = pool.resolve(None).unwrap().clone();
-        let handles = CompletionHandle::batch(&sink, 0xBEEF, 3, imgs.len());
+        let handles = CompletionHandle::batch(&inbox.sink, 0xBEEF, 3, imgs.len());
         for (img, handle) in imgs.iter().zip(handles) {
-            pool.submit(
-                &model,
-                ReadoutHead::Sum,
-                img.clone(),
-                Reply::Completion(handle),
-            )
-            .unwrap();
+            pool.submit(&model, ReadoutHead::Sum, img.clone(), handle)
+                .unwrap();
         }
-        // Wait for the single aggregated completion.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let completions = loop {
-            let got = sink.drain();
-            if !got.is_empty() {
-                break got;
-            }
-            assert!(Instant::now() < deadline, "completion never arrived");
-            std::thread::sleep(Duration::from_millis(2));
-        };
-        assert_eq!(completions.len(), 1);
-        let c = &completions[0];
-        assert_eq!((c.conn, c.slot), (0xBEEF, 3));
+        // Exactly one completion lands, once the last input is done.
+        let c = inbox
+            .recv_timeout(0xBEEF, Duration::from_secs(20))
+            .expect("completion never arrived");
+        assert!(inbox.landed.is_empty() && inbox.sink.drain().is_empty());
+        assert_eq!(c.slot, 3);
         assert_eq!(c.results.len(), imgs.len());
         for (img, got) in imgs.iter().zip(&c.results) {
             assert_eq!(got, &donn.logits(img), "aggregation reordered inputs");
@@ -1056,24 +1369,15 @@ mod tests {
         let pool = ShardPool::new(reg, policy(8, 50_000), 1, None, metrics, 0);
         let img = images(1).remove(0);
         let model = pool.resolve(None).unwrap().clone();
-        let (tx_sum, rx_sum) = mpsc::channel();
-        let (tx_diff, rx_diff) = mpsc::channel();
-        pool.submit(
-            &model,
-            ReadoutHead::Sum,
-            img.clone(),
-            Reply::Channel(tx_sum),
-        )
-        .unwrap();
-        pool.submit(
-            &model,
-            ReadoutHead::Differential,
-            img.clone(),
-            Reply::Channel(tx_diff),
-        )
-        .unwrap();
-        let sum = rx_sum.recv().unwrap();
-        let diff = rx_diff.recv().unwrap();
+        let mut inbox = Inbox::new();
+        inbox
+            .submit(&pool, &model, ReadoutHead::Sum, &img, 0)
+            .unwrap();
+        inbox
+            .submit(&pool, &model, ReadoutHead::Differential, &img, 1)
+            .unwrap();
+        let sum = inbox.recv(0);
+        let diff = inbox.recv(1);
         assert_eq!(sum, donn.logits(&img), "sum head must stay bit-identical");
         assert_ne!(sum, diff, "differential head must differ from plain sums");
         assert!(diff.iter().all(|v| v.is_finite() && v.abs() <= 1.0 + 1e-9));

@@ -272,7 +272,9 @@ pub fn open_spans() -> usize {
 /// Move the calling thread's buffered events into the global list so a
 /// [`collect`] from another thread can see them. Threads flush
 /// automatically on exit; long-lived workers should call this at
-/// quiescent points.
+/// quiescent points. The exit flush runs in a thread-local destructor,
+/// which `std::thread::scope` may return before; join a scoped thread's
+/// handle explicitly to wait for it.
 pub fn flush_thread() {
     let _ = SINK.try_with(|s| {
         let mut s = s.borrow_mut();
@@ -630,9 +632,12 @@ mod tests {
         reset();
         let main_tid = SINK.with(|s| s.borrow().tid);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _s = span("test.worker");
-            });
+            scope
+                .spawn(|| {
+                    let _s = span("test.worker");
+                })
+                .join()
+                .unwrap();
         });
         set_enabled(false);
         let t = collect();

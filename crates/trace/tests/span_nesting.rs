@@ -23,8 +23,9 @@ fn balanced_nesting_across_threads() {
     trace::reset();
 
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         for i in 0..THREADS {
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 // Thread i nests to depth (i % 4) + 1, REPS times; a tiny
                 // LCG varies the interleaving with some leaf-only opens.
                 let depth = (i % NAMES.len()) + 1;
@@ -42,7 +43,12 @@ fn balanced_nesting_across_threads() {
                     }
                     assert_eq!(trace::open_spans(), 0);
                 }
-            });
+            }));
+        }
+        // Joining waits for each thread's exit flush; the scope's own
+        // implicit join can return before it.
+        for worker in workers {
+            worker.join().unwrap();
         }
     });
 

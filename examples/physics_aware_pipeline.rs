@@ -53,5 +53,5 @@ fn main() {
     println!("\n{}", table.to_markdown());
     println!("Paper (MNIST, Table II): baseline 466.39 -> 460.85; Ours-C 409.41 -> 299.87 (−35.7% vs baseline).");
     println!("Absolute numbers differ (scaled CPU system, synthetic data); the ordering and the");
-    println!("who-wins structure are the reproduction target — see EXPERIMENTS.md.");
+    println!("who-wins structure are the reproduction target.");
 }

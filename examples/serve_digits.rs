@@ -6,9 +6,7 @@
 //! inference server on a loopback port via [`ServerBuilder`], and
 //! queries every variant with a test digit over real HTTP — `/v1` for
 //! the single-sample wire format and `/v2` for batched inputs with
-//! readout-head selection. The `--smoke` path deliberately stays on the
-//! deprecated `Server::bind` shim so CI keeps proving that pre-redesign
-//! call sites still compile and serve bit-identical logits.
+//! readout-head selection.
 //!
 //! ```sh
 //! cargo run --release --example serve_digits            # full demo
@@ -20,9 +18,7 @@ use photonn::datasets::{Dataset, Family};
 use photonn::donn::train::{train, TrainOptions};
 use photonn::donn::{deploy::FabricationModel, Donn, DonnConfig};
 use photonn::math::{Grid, Rng};
-use photonn::serve::{
-    client, BatchPolicy, Json, ModelRegistry, Server, ServerBuilder, ServerConfig,
-};
+use photonn::serve::{client, BatchPolicy, Json, ModelRegistry, ServerBuilder};
 
 const GRID: usize = 32;
 
@@ -40,11 +36,9 @@ fn smoke() {
     let donn = Donn::random(DonnConfig::scaled(GRID), &mut rng);
     let mut registry = ModelRegistry::new();
     registry.register("ideal", donn.clone());
-    // Intentionally the legacy entry point: the smoke run doubles as a
-    // compile-and-serve check for the deprecated shim.
-    #[allow(deprecated)]
-    let mut server =
-        Server::bind("127.0.0.1:0", registry, ServerConfig::default()).expect("bind loopback");
+    let mut server = ServerBuilder::new(registry)
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
     println!("smoke server on {}", server.addr());
 
     let digit = Dataset::synthetic(Family::Mnist, 1, 3)

@@ -61,8 +61,7 @@ fn full_pipeline_reproduces_paper_ordering() {
     //      scale-robust form of the Table II ordering (at this tiny test
     //      budget the *baseline* barely trains, so its roughness stays at
     //      the smooth-init floor; the full-size comparison against the
-    //      baseline is exercised by the table binaries, see
-    //      EXPERIMENTS.md);
+    //      baseline is exercised by the table binaries);
     //  (3) accuracy stays within a few points of the baseline.
     let cfg = tiny_cfg(Family::Mnist);
     let (train_set, test_set) = cfg.datasets();

@@ -18,7 +18,7 @@
 use photonn::datasets::{Dataset, Family};
 use photonn::donn::{Donn, DonnConfig};
 use photonn::math::{Grid, Rng};
-use photonn::serve::{client, Json, ModelRegistry, Server, ServerConfig};
+use photonn::serve::{client, Json, ModelRegistry, ServerBuilder};
 use std::net::SocketAddr;
 use std::path::Path;
 
@@ -155,8 +155,9 @@ fn render(records: &[(&'static str, u16, String)]) -> String {
 #[test]
 fn v1_responses_byte_identical_to_pre_redesign_fixtures() {
     let (registry, _donn) = fixture_registry();
-    #[allow(deprecated)]
-    let mut server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
+    let mut server = ServerBuilder::new(registry)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let data = Dataset::synthetic(Family::Mnist, 3, 11).resized(GRID);
     let records = exchanges(server.addr(), &data);
     server.shutdown();

@@ -1,18 +1,10 @@
 //! End-to-end serving tests: real TCP sockets, concurrent clients, and
 //! bit-identity between served logits and direct `Donn::logits` calls.
-//!
-//! The original tests deliberately stay on the deprecated
-//! `Server::bind`/`ServerConfig` entry points: they prove the legacy
-//! surface keeps compiling and behaving identically on top of the
-//! event-loop frontend. New tests use `ServerBuilder`.
-#![allow(deprecated)]
 
 use photonn::datasets::{Dataset, Family};
 use photonn::donn::{Donn, DonnConfig};
 use photonn::math::{Grid, Rng};
-use photonn::serve::{
-    client, BatchPolicy, Json, ModelRegistry, Server, ServerBuilder, ServerConfig,
-};
+use photonn::serve::{client, BatchPolicy, Json, ModelRegistry, ServerBuilder};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -52,16 +44,15 @@ fn parse_logits(body: &str) -> Vec<f64> {
 #[test]
 fn concurrent_clients_receive_bit_identical_logits() {
     let donn = model();
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 8,
             max_wait_us: 3_000,
             queue_capacity: 256,
             threads: 2,
-        },
-        ..ServerConfig::default()
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
 
     const CLIENTS: usize = 6;
@@ -128,16 +119,16 @@ fn concurrent_clients_receive_bit_identical_logits() {
 fn planar_backed_logits_bit_identical_to_direct_calls() {
     let mut rng = Rng::seed_from(41);
     let donn = Donn::random(DonnConfig::scaled(20), &mut rng);
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 4,
             max_wait_us: 0,
             queue_capacity: 64,
             threads: 2,
-        },
-        cache_budget_bytes: 8 << 20, // force the cache-assisted stack path
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .cache_budget_bytes(8 << 20) // force the cache-assisted stack path
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
 
     let data = Dataset::synthetic(Family::Mnist, 5, 41).resized(20);
@@ -173,16 +164,16 @@ fn planar_backed_logits_bit_identical_to_direct_calls() {
 #[test]
 fn full_queue_returns_429_and_parked_requests_complete() {
     let donn = model();
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 8,
             max_wait_us: 500_000, // park half a second waiting for a batch
             queue_capacity: 2,
             threads: 1,
-        },
-        cache_budget_bytes: 0,
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .cache_budget_bytes(0)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
     let data = Dataset::synthetic(Family::Mnist, 3, 5).resized(GRID);
 
@@ -226,7 +217,7 @@ fn endpoints_and_error_paths() {
     let donn = model();
     let mut reg = registry(&donn);
     reg.register_quantized("q8", &donn, 8);
-    let mut server = Server::bind("127.0.0.1:0", reg, ServerConfig::default()).expect("bind");
+    let mut server = ServerBuilder::new(reg).bind("127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
     let (status, body) = client::request(addr, "GET", "/healthz", None).unwrap();
