@@ -1,27 +1,25 @@
 //! Training-step throughput: batched propagation engine vs the per-sample
-//! tape oracle vs the batched engine with vectorization disabled.
+//! tape oracle.
 //!
 //! Runs full optimizer steps (gradients + Adam update) of a 3-layer DONN
-//! through three gradient paths at each requested grid and reports
+//! through two gradient paths at each requested grid and reports
 //! steps/sec, writing `BENCH_batched_step.json` so successive PRs can
 //! track the throughput trajectory:
 //!
-//! * **per-sample oracle** — one tape per sample, scalar FFT engines;
-//! * **batched, scalar FFT** — one tape per mini-batch, but with
-//!   `PHOTONN_FFT_NO_VEC` set so every sample runs the scalar per-sample
-//!   1-D engines (the fallback path non-`2^a·5^b` grids still take);
-//! * **batched, vectorized** — the planar radix-8/4/2/5 engine (covers all
-//!   powers of two and the paper's native 200 = 2³·5² grid).
+//! * **per-sample oracle** — one tape per sample;
+//! * **batched** — one tape per mini-batch through the planar
+//!   radix-8/4/2/5 engine on the grids it covers (all powers of two and
+//!   the paper's native 200 = 2³·5² grid).
 //!
 //! `--grid` and `--threads` may both be repeated: the batched path is
 //! timed at every `(grid, threads)` combination — the thread-scaling
-//! curve — while the oracle and scalar baselines are timed once per grid
-//! (they are diagnostics, not the scaling subject). Every entry carries a
+//! curve — while the oracle baseline is timed once per grid (it is a
+//! diagnostic, not the scaling subject). Every entry carries a
 //! `"threads"` field, and the document records the host's `cores` and
 //! SIMD kernel table: on a single-core host multi-thread entries measure
 //! dispatch overhead, not parallel speedup, and `photonn bench-report`
 //! flags them as such. `--paths` selects which gradient paths to time
-//! (comma list of `oracle,scalar,batched`; default all — the CI
+//! (comma list of `oracle,batched`; default both — the CI
 //! regression gate passes `--paths batched` since only the batched
 //! metrics are compared, and the bench then reports the delta against the
 //! previously committed numbers as `speedup_vs_prior`):
@@ -61,10 +59,10 @@ struct Options {
     steps: usize,
     threads: Vec<usize>,
     out: String,
-    /// Which gradient paths to time (`oracle`, `scalar`, `batched`).
-    /// The CI regression gate only compares the batched metrics, so
+    /// Which gradient paths to time (`oracle`, `batched`). The CI
+    /// regression gate only compares the batched metrics, so
     /// `--paths batched` keeps that job from paying for the slow
-    /// baselines; untimed paths write 0 and omit speedup fields.
+    /// oracle; untimed paths write 0 and omit speedup fields.
     paths: Paths,
     check_scaling: Option<f64>,
     trace: Option<String>,
@@ -74,7 +72,6 @@ struct Options {
 #[derive(Clone, Copy)]
 struct Paths {
     oracle: bool,
-    scalar: bool,
     batched: bool,
 }
 
@@ -82,7 +79,6 @@ impl Paths {
     fn all() -> Self {
         Paths {
             oracle: true,
-            scalar: true,
             batched: true,
         }
     }
@@ -90,13 +86,11 @@ impl Paths {
     fn parse(spec: &str) -> Option<Self> {
         let mut p = Paths {
             oracle: false,
-            scalar: false,
             batched: false,
         };
         for part in spec.split(',') {
             match part.trim() {
                 "oracle" => p.oracle = true,
-                "scalar" => p.scalar = true,
                 "batched" => p.batched = true,
                 _ => return None,
             }
@@ -113,7 +107,7 @@ fn usage_error(message: String) -> ! {
     eprintln!("bench_batched_step: {message}");
     eprintln!(
         "usage: bench_batched_step [--grid N]... [--threads T]... [--batch B] [--steps S]\n\
-         \u{20}                        [--paths oracle,scalar,batched] [--out FILE]\n\
+         \u{20}                        [--paths oracle,batched] [--out FILE]\n\
          \u{20}                        [--check-scaling R] [--trace FILE]\n\
          \u{20}                        [--check-trace-overhead FRAC]"
     );
@@ -155,7 +149,7 @@ fn parse_options() -> Options {
                     None => {
                         let got = value.as_deref().unwrap_or("<missing>");
                         usage_error(format!(
-                            "--paths takes a comma list of oracle,scalar,batched (got '{got}')"
+                            "--paths takes a comma list of oracle,batched (got '{got}')"
                         ));
                     }
                 };
@@ -212,13 +206,12 @@ fn run_steps(
 }
 
 /// Throughput numbers at one `(grid, threads)` configuration. The oracle
-/// and scalar baselines are timed once per grid and recorded on its first
-/// entry only (0 elsewhere).
+/// baseline is timed once per grid and recorded on its first entry only
+/// (0 elsewhere).
 struct Entry {
     grid: usize,
     threads: usize,
     per_sample: f64,
-    batched_scalar: f64,
     batched: f64,
 }
 
@@ -229,20 +222,13 @@ fn bench_grid(grid: usize, opts: &Options, entries: &mut Vec<Entry>) {
     );
     let data = Dataset::synthetic(Family::Mnist, opts.batch, 42).resized(grid);
     let batch: Vec<usize> = (0..opts.batch).collect();
-    let fresh_donn = || Donn::random(DonnConfig::scaled(grid), &mut Rng::seed_from(42));
-
-    // FFT plans are built at model construction, so the kill switch must
-    // surround the constructor; main() is still single-threaded here.
-    std::env::set_var("PHOTONN_FFT_NO_VEC", "1");
-    let mut donn_scalar = fresh_donn();
-    std::env::remove_var("PHOTONN_FFT_NO_VEC");
-    let donn_vec = fresh_donn();
+    let donn = Donn::random(DonnConfig::scaled(grid), &mut Rng::seed_from(42));
 
     let first_threads = opts.threads[0];
     let mut per_sample = 0.0;
     if opts.paths.oracle {
         per_sample = run_steps(
-            &mut donn_scalar.clone(),
+            &mut donn.clone(),
             &data,
             &batch,
             first_threads,
@@ -252,24 +238,11 @@ fn bench_grid(grid: usize, opts: &Options, entries: &mut Vec<Entry>) {
         println!("per-sample oracle        : {per_sample:8.3} steps/sec");
     }
 
-    let mut batched_scalar = 0.0;
-    if opts.paths.scalar {
-        batched_scalar = run_steps(
-            &mut donn_scalar,
-            &data,
-            &batch,
-            first_threads,
-            opts.steps,
-            batched_gradients,
-        );
-        println!("batched scalar fft       : {batched_scalar:8.3} steps/sec");
-    }
-
     for (k, &threads) in opts.threads.iter().enumerate() {
         let mut batched = 0.0;
         if opts.paths.batched {
             batched = run_steps(
-                &mut donn_vec.clone(),
+                &mut donn.clone(),
                 &data,
                 &batch,
                 threads,
@@ -278,18 +251,16 @@ fn bench_grid(grid: usize, opts: &Options, entries: &mut Vec<Entry>) {
             );
             println!("batched vectorized (t={threads}) : {batched:8.3} steps/sec");
         }
-        if k == 0 && opts.paths.oracle && opts.paths.scalar && opts.paths.batched {
+        if k == 0 && opts.paths.oracle && opts.paths.batched {
             println!(
-                "speedup                  : {:8.2}x vs oracle, {:8.2}x vs scalar fft",
-                batched / per_sample,
-                batched / batched_scalar
+                "speedup                  : {:8.2}x vs oracle",
+                batched / per_sample
             );
         }
         entries.push(Entry {
             grid,
             threads,
             per_sample: if k == 0 { per_sample } else { 0.0 },
-            batched_scalar: if k == 0 { batched_scalar } else { 0.0 },
             batched,
         });
     }
@@ -431,12 +402,6 @@ fn main() {
                     e.per_sample
                 ));
             }
-            if e.batched_scalar > 0.0 {
-                fields.push_str(&format!(
-                    ",\n      \"batched_scalar_fft_steps_per_sec\": {:.4}",
-                    e.batched_scalar
-                ));
-            }
             if opts.paths.batched {
                 fields.push_str(&format!(
                     ",\n      \"batched_steps_per_sec\": {:.4}",
@@ -447,12 +412,6 @@ fn main() {
                 fields.push_str(&format!(
                     ",\n      \"speedup_vs_oracle\": {:.4}",
                     e.batched / e.per_sample
-                ));
-            }
-            if e.batched_scalar > 0.0 && opts.paths.batched {
-                fields.push_str(&format!(
-                    ",\n      \"speedup_vs_scalar_fft\": {:.4}",
-                    e.batched / e.batched_scalar
                 ));
             }
             let prior_entry = (opts.paths.batched && e.threads == 1)

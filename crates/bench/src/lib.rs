@@ -9,7 +9,7 @@
 //!   `--full` for the exact 200×200 / 60 k-sample setup);
 //! * **throughput trackers** — `bench_batched_step` writes
 //!   `BENCH_batched_step.json` (training steps/sec: per-sample oracle vs
-//!   batched scalar-FFT vs batched vectorized, one entry per `--grid`),
+//!   batched, one entry per `--grid` and `--threads`),
 //!   `bench_serving` writes `BENCH_serving.json` (served req/s and
 //!   latency percentiles under dynamic batching policies) and
 //!   `bench_dist_step` writes `BENCH_dist.json` (sharded data-parallel

@@ -10,8 +10,8 @@
 //! for the job summary (see the `bench_compare` binary).
 //!
 //! Only the headline metrics gate: baseline columns like the per-sample
-//! oracle or the `PHOTONN_FFT_NO_VEC` scalar path are diagnostics, not
-//! service-level numbers, and may legitimately move as the engine evolves.
+//! oracle are diagnostics, not service-level numbers, and may
+//! legitimately move as the engine evolves.
 
 use photonn_serve::Json;
 

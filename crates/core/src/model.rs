@@ -286,7 +286,8 @@ impl Donn {
             assert_eq!(img.shape(), (n, n), "image shape mismatch");
         }
         let field = photonn_optics::encode_amplitude_batch(images);
-        self.propagate_batch_field(&field, threads)
+        self.plan
+            .apply_transfer_batch_owned(field, &self.kernel, n, threads.max(1))
     }
 
     /// Detector sums for a batch of *already propagated* first-hop fields —
@@ -369,13 +370,6 @@ impl Donn {
         // per sample, no per-sample grid copies. Readout is real-valued,
         // so no interleaved view is needed at all here.
         field.intensity()
-    }
-
-    /// One batched free-space hop on the inference path (`threads == 0` is
-    /// treated as 1, matching `train::per_sample_batch_gradients`).
-    fn propagate_batch_field(&self, field: &BatchCGrid, threads: usize) -> BatchCGrid {
-        self.plan
-            .apply_transfer_batch(field, &self.kernel, self.config.grid(), threads.max(1))
     }
 
     /// Predicted class (`argmax` over detector sums).

@@ -481,6 +481,11 @@ pub fn config_from_json(doc: &Json) -> Result<DonnConfig, String> {
         if size < grid {
             return Err(format!("\"padding\" {size} is smaller than the grid"));
         }
+        // The kernel and every hop buffer are size² planes: an unbounded
+        // size would let one init make the peer abort on allocation.
+        if size > grid.saturating_mul(4) {
+            return Err(format!("\"padding\" {size} exceeds 4 × the grid {grid}"));
+        }
     }
     Ok(config)
 }
@@ -867,6 +872,7 @@ mod tests {
             ("layout_cols", "1"),
             ("region_size", "9"),
             ("padding", "8"),
+            ("padding", "65"),
             ("labels", "[10]"),
         ] {
             let header = edit_header(&init, |h| {

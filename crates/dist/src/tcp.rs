@@ -588,6 +588,7 @@ pub fn serve_peer_once(listener: &TcpListener, threads: usize) -> io::Result<()>
                 shard,
                 denom,
             } => {
+                check_step(config.num_layers, data.len(), masks.len(), &shard, denom)?;
                 donn.set_masks(masks);
                 let mg = compute_with_heartbeats(
                     &mut framed,
@@ -611,6 +612,38 @@ pub fn serve_peer_once(listener: &TcpListener, threads: usize) -> io::Result<()>
     }
 }
 
+/// Refuses a step the peer cannot run against its init, naming the
+/// field: `Donn::set_masks` and `shard_gradients` would panic on it. The
+/// step's mask shapes are already fixed by `decode` at the init's grid.
+fn check_step(
+    layers: usize,
+    images: usize,
+    masks: usize,
+    shard: &[usize],
+    denom: usize,
+) -> io::Result<()> {
+    if masks != layers {
+        return Err(protocol_error(format!(
+            "step \"masks\" counts {masks} for {layers} layers"
+        )));
+    }
+    if shard.is_empty() {
+        return Err(protocol_error("step \"shard\" is empty".into()));
+    }
+    if let Some(index) = shard.iter().find(|&&i| i >= images) {
+        return Err(protocol_error(format!(
+            "step \"shard\" holds {index}, outside the {images} shipped images"
+        )));
+    }
+    if denom < shard.len() {
+        return Err(protocol_error(format!(
+            "step \"denom\" {denom} is below the shard's {} samples",
+            shard.len()
+        )));
+    }
+    Ok(())
+}
+
 /// [`serve_peer_once`] in a loop: the worker stays up and serves
 /// coordinator sessions back to back (the `photonn dist-worker
 /// --keep-alive` mode) — which is also what makes it *reconnectable*: a
@@ -625,6 +658,61 @@ pub fn serve_peer_forever(listener: &TcpListener, threads: usize) -> io::Result<
     loop {
         if let Err(e) = serve_peer_once(listener, threads) {
             eprintln!("photonn-dist peer: session ended with error: {e}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use photonn_datasets::Family;
+
+    #[test]
+    fn malformed_steps_end_the_session_by_field_name() {
+        // A panic on the peer thread would take down a `dist-worker
+        // --keep-alive` process: each malformed step must instead end the
+        // session with an error naming the field.
+        let config = DonnConfig::scaled(16);
+        let data = Dataset::synthetic(Family::Mnist, 4, 7).resized(16);
+        let masks = vec![Grid::zeros(16, 16); config.num_layers];
+        let cases = [
+            (masks[..1].to_vec(), vec![0], 4, "masks"),
+            (masks.clone(), vec![9], 4, "shard"),
+            (masks.clone(), vec![], 4, "shard"),
+            (masks, vec![0, 1], 0, "denom"),
+        ];
+        for (masks, shard, denom, field) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("local addr");
+            let peer = std::thread::spawn(move || serve_peer_once(&listener, 1));
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut framed = Framed::new(stream, None, None).expect("framed");
+            framed
+                .send(&Message::Init {
+                    config,
+                    images: (0..data.len()).map(|i| data.image(i).clone()).collect(),
+                    labels: (0..data.len()).map(|i| data.label(i)).collect(),
+                    freeze: None,
+                    heartbeat_ms: 0,
+                })
+                .expect("send init");
+            assert!(matches!(framed.recv(None), Ok(Message::Ready)));
+            framed
+                .send(&Message::Step {
+                    masks,
+                    shard,
+                    denom,
+                })
+                .expect("send step");
+            let err = peer
+                .join()
+                .expect("the peer must not panic")
+                .expect_err("the session must end with an error");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");
+            assert!(
+                err.to_string().contains(field),
+                "{err} does not name {field}"
+            );
         }
     }
 }

@@ -6,7 +6,7 @@ use photonn_math::{BatchCGrid, CGrid, Complex64};
 use std::sync::Arc;
 
 use crate::vecmixed::VecMixed2d;
-use crate::{Fft, Planner};
+use crate::Fft;
 
 /// A reusable 2-D FFT plan for a fixed `rows × cols` shape.
 ///
@@ -45,30 +45,24 @@ impl Fft2 {
     ///
     /// Panics if either dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
-        let planner = Planner::new();
-        Self::with_planner(rows, cols, &planner)
-    }
-
-    /// Plans using (and populating) a shared [`Planner`] cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_planner(rows: usize, cols: usize, planner: &Planner) -> Self {
         assert!(rows > 0 && cols > 0, "FFT2 dimensions must be positive");
-        // Square 2^a·5^b shapes (every power of two, plus the paper's
-        // native 200 and its padded companions) get the planar vectorized
-        // engine; engaging PHOTONN_FFT_NO_VEC (shared switch vocabulary —
-        // case-insensitive, falsy values leave vectorization on) forces
-        // the scalar per-sample path (the benchmark baseline).
-        let vec_enabled = !photonn_math::envswitch::engaged("PHOTONN_FFT_NO_VEC", false);
-        let vec2d = (rows == cols && vec_enabled && VecMixed2d::supports(rows))
-            .then(|| Arc::new(VecMixed2d::new(rows)));
+        let row_plan = Arc::new(Fft::new(cols));
+        let col_plan = if rows == cols {
+            Arc::clone(&row_plan)
+        } else {
+            Arc::new(Fft::new(rows))
+        };
+        // The grid alone picks the batched path: square 2^a·5^b shapes
+        // (every power of two, plus the paper's native 200 and its padded
+        // companions) get the planar vectorized engine, every other shape
+        // the scalar per-sample path.
+        let vec2d =
+            (rows == cols && VecMixed2d::supports(rows)).then(|| Arc::new(VecMixed2d::new(rows)));
         Fft2 {
             rows,
             cols,
-            row_plan: planner.plan(cols),
-            col_plan: planner.plan(rows),
+            row_plan,
+            col_plan,
             vec2d,
         }
     }
@@ -575,7 +569,7 @@ impl<'a> SampleFft<'a> {
     /// interleave shim in, `forward → ⊙K·scale → inverse_unnormalized`,
     /// shim back out. This is the fallback for shapes the vectorized
     /// engine cannot cover (side lengths with prime factors other than 2
-    /// and 5) and the `PHOTONN_FFT_NO_VEC` baseline.
+    /// and 5).
     fn scalar_transfer(&mut self, re: &mut [f64], im: &mut [f64], kernel: &CGrid, scale: f64) {
         let scratch = self.scalar.as_mut().expect("scalar scratch");
         interleave(re, im, &mut scratch.buf);
@@ -771,6 +765,11 @@ mod tests {
                     "n {n} sample {b}: {}",
                     batch.to_cgrid(b).max_abs_diff(e)
                 );
+                // Shapes the vectorized engine does not cover run the same
+                // 1-D engines as the unbatched path, bit for bit.
+                if !VecMixed2d::supports(n) {
+                    assert_eq!(batch.to_cgrid(b), *e, "n {n} sample {b}");
+                }
             }
         }
     }
@@ -811,7 +810,7 @@ mod tests {
 
     #[test]
     fn apply_transfer_batch_matches_manual_pipeline() {
-        for (n, padded) in [(8usize, 8usize), (8, 16)] {
+        for (n, padded) in [(8usize, 8usize), (8, 16), (6, 6), (6, 12), (12, 12)] {
             let plan = Fft2::new(padded, padded);
             let kernel = CGrid::from_fn(padded, padded, |r, c| {
                 Complex64::cis((r as f64 * 0.3 - c as f64 * 0.5).sin())
@@ -949,11 +948,7 @@ mod tests {
         // The planar-native storage refactor must not change a single bit
         // of the hop's output versus the PR-3 interleaved pipeline, at the
         // paper-relevant grids (20 mixed-radix miniature, 32 power of two,
-        // 200 paper-native). The reference *is* the vectorized pipeline,
-        // so the comparison is meaningless under the scalar kill switch.
-        if photonn_math::envswitch::engaged("PHOTONN_FFT_NO_VEC", false) {
-            return;
-        }
+        // 200 paper-native).
         for n in [20usize, 32, 200] {
             let plan = Fft2::new(n, n);
             let kernel = CGrid::from_fn(n, n, |r, c| {
@@ -983,7 +978,7 @@ mod tests {
         // modulate_transfer_batch_owned must equal hadamard_bcast followed
         // by the plain hop bit-for-bit — the modulation is the identical
         // elementwise product, just moved inside the worker sweep.
-        for (n, padded) in [(20usize, 20usize), (32, 32), (8, 16)] {
+        for (n, padded) in [(20usize, 20usize), (32, 32), (8, 16), (6, 6), (12, 12)] {
             let plan = Fft2::new(padded, padded);
             let kernel = CGrid::from_fn(padded, padded, |r, c| {
                 Complex64::cis((r as f64 * 0.31 - c as f64 * 0.17).sin())
@@ -1003,7 +998,7 @@ mod tests {
     fn batched_hop_is_bit_identical_to_single_sample_hops() {
         // Batching must be a pure layout concern: the N-sample planar hop
         // and N single-sample hops produce bit-identical fields.
-        for n in [20usize, 32] {
+        for n in [20usize, 32, 6, 12] {
             let plan = Fft2::new(n, n);
             let kernel = CGrid::from_fn(n, n, |r, c| {
                 Complex64::cis((r as f64 * 0.37 + c as f64 * 0.19).cos())
@@ -1024,12 +1019,14 @@ mod tests {
 
     #[test]
     fn batch_threading_is_deterministic_on_mixed_radix_grid() {
-        let plan = Fft2::new(20, 20);
-        let mut serial = random_batch(7, 20);
-        let mut threaded = serial.clone();
-        plan.forward_batch(&mut serial, 1);
-        plan.forward_batch(&mut threaded, 4);
-        assert_eq!(serial, threaded);
+        for n in [20usize, 6, 12] {
+            let plan = Fft2::new(n, n);
+            let mut serial = random_batch(7, n);
+            let mut threaded = serial.clone();
+            plan.forward_batch(&mut serial, 1);
+            plan.forward_batch(&mut threaded, 4);
+            assert_eq!(serial, threaded, "grid {n}");
+        }
     }
 
     #[test]

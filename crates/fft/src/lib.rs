@@ -11,7 +11,7 @@
 //! * **mixed-radix** — recursive Cooley–Tukey for smooth composites such as
 //!   the paper's native 200 = 2³·5² (every prime factor ≤ 61);
 //! * **Bluestein** — chirp-z fallback for lengths with larger prime
-//!   factors (the planner reroutes automatically; no length errors out).
+//!   factors ([`Fft::new`] reroutes automatically; no length errors out).
 //!
 //! On top of them, [`Fft2`]'s batched execute paths
 //! ([`Fft2::forward_batch`], [`Fft2::apply_transfer_batch`]) carry a
@@ -21,8 +21,9 @@
 //! contiguous, shuffle-free arithmetic the compiler autovectorizes. It
 //! covers every power of two **and** the paper's native 200 grid (plus its
 //! double-padded 400), so paper-scale batches never fall back to the
-//! scalar per-sample path. Setting the `PHOTONN_FFT_NO_VEC` environment
-//! variable before planning disables it (the benchmark baseline switch).
+//! scalar per-sample path. The grid alone picks the path: a square side
+//! with a prime factor other than 2 and 5 (or a non-square shape) runs the
+//! scalar 1-D engines per sample instead.
 //!
 //! Conventions: forward is the unnormalized engineering DFT
 //! `X[k] = Σ x[j]·e^{-2πi jk/n}`; [`Fft::inverse`] carries the `1/n`. The
@@ -55,5 +56,5 @@ mod vecmixed;
 
 pub use fft2::{fft2, ifft2, Fft2};
 pub use mixed::factorize;
-pub use plan::{Fft, Planner};
+pub use plan::Fft;
 pub use shift::{fftfreq, fftshift, fftshift_real, ifftshift};

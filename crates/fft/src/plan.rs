@@ -2,8 +2,6 @@
 //! permutations, Bluestein chirps) reused across many transforms.
 
 use photonn_math::Complex64;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use crate::bluestein::Bluestein;
 use crate::mixed::MixedRadix;
@@ -55,7 +53,7 @@ impl Fft {
     /// reaches the mixed-radix engine's internal prime limit.
     ///
     /// ```
-    /// use photonn_fft::{Fft, Planner};
+    /// use photonn_fft::Fft;
     /// use photonn_math::Complex64;
     ///
     /// // 134 = 2·67 has a prime factor past the mixed-radix limit; the
@@ -91,8 +89,8 @@ impl Fft {
         self.n
     }
 
-    /// `true` only for the degenerate length-1 plan (provided for
-    /// completeness; a length-1 FFT is the identity).
+    /// Always `false`: a plan has length at least 1 (provided for
+    /// completeness alongside [`Fft::len`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
@@ -147,43 +145,6 @@ impl Fft {
     }
 }
 
-/// A thread-safe cache of [`Fft`] plans keyed by length.
-///
-/// # Examples
-///
-/// ```
-/// use photonn_fft::Planner;
-///
-/// let planner = Planner::new();
-/// let a = planner.plan(64);
-/// let b = planner.plan(64);
-/// assert!(std::sync::Arc::ptr_eq(&a, &b)); // cached
-/// ```
-#[derive(Debug, Default)]
-pub struct Planner {
-    cache: Mutex<HashMap<usize, Arc<Fft>>>,
-}
-
-impl Planner {
-    /// Creates an empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached plan for length `n`, creating it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn plan(&self, n: usize) -> Arc<Fft> {
-        let mut cache = self.cache.lock().expect("planner mutex poisoned");
-        cache
-            .entry(n)
-            .or_insert_with(|| Arc::new(Fft::new(n)))
-            .clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +173,7 @@ mod tests {
     fn large_prime_factors_fall_back_to_bluestein_automatically() {
         // Composite lengths with one factor past MixedRadix::MAX_PRIME
         // must never reach the mixed-radix constructor (whose internal
-        // assert says "use Bluestein") — the planner does that rerouting.
+        // assert says "use Bluestein") — `Fft::new` does that rerouting.
         for n in [2 * 67, 3 * 71, 5 * 101, 2 * 2 * 127] {
             assert!(!MixedRadix::supports(n), "{n} should exceed the limit");
             let fft = Fft::new(n);
@@ -300,15 +261,5 @@ mod tests {
         let fft = Fft::new(8);
         let mut buf = vec![Complex64::ZERO; 4];
         fft.forward(&mut buf);
-    }
-
-    #[test]
-    fn planner_caches() {
-        let planner = Planner::new();
-        let a = planner.plan(32);
-        let b = planner.plan(32);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = planner.plan(33);
-        assert_eq!(c.len(), 33);
     }
 }

@@ -53,9 +53,8 @@
 //! traffic roughly 4× across the 4-stage pipeline. Because no lane ever
 //! crosses a column and strip widths stay multiples of the SIMD width,
 //! the result is **bit-identical** to the unfused pass (covered by a
-//! test). `PHOTONN_FFT_STRIP` overrides the width (`0` disables fusion);
-//! strips are only used when `n` is a multiple of 4 so SIMD remainder
-//! tails cannot differ between fused and unfused sweeps.
+//! test). Strips are only used when `n` is a multiple of 4 so SIMD
+//! remainder tails cannot differ between fused and unfused sweeps.
 
 use photonn_math::simd::{self, KernelTable};
 use photonn_math::Complex64;
@@ -140,34 +139,13 @@ impl VecMixed2d {
     /// (fusion off) unless the four ping-pong planes overflow L2 and `n`
     /// is a multiple of 4, in which case a width that keeps one strip's
     /// working set near 1 MB, rounded to a multiple of 8 lanes.
-    /// `PHOTONN_FFT_STRIP` overrides (`0` or a falsy switch value like
-    /// `off` disables; other numbers are rounded up to a multiple of 4
-    /// and ignored when `n % 4 != 0`, so fused and unfused sweeps can
-    /// never split SIMD tails differently).
     fn default_strip(n: usize) -> usize {
-        let heuristic = |n: usize| -> usize {
-            // 4 planes × n² lanes × 8 bytes per full ping-pong pass.
-            if !n.is_multiple_of(4) || 32 * n * n <= 1_500_000 {
-                0
-            } else {
-                // ~1 MB strip working set: 4 planes × n rows × W × 8 B.
-                ((32768 / n) & !7).max(16)
-            }
-        };
-        match std::env::var("PHOTONN_FFT_STRIP") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) => 0,
-                Ok(w) if n.is_multiple_of(4) => w.div_ceil(4) * 4,
-                Ok(_) => heuristic(n),
-                // Not a number: accept the shared switch vocabulary, so
-                // `PHOTONN_FFT_STRIP=off` (any case) disables fusion just
-                // like `0` instead of being silently ignored.
-                Err(_) => match photonn_math::envswitch::parse(&v) {
-                    Some(false) => 0,
-                    _ => heuristic(n),
-                },
-            },
-            Err(_) => heuristic(n),
+        // 4 planes × n² lanes × 8 bytes per full ping-pong pass.
+        if !n.is_multiple_of(4) || 32 * n * n <= 1_500_000 {
+            0
+        } else {
+            // ~1 MB strip working set: 4 planes × n rows × W × 8 B.
+            ((32768 / n) & !7).max(16)
         }
     }
 

@@ -16,9 +16,9 @@
 //!   code used.
 //!
 //! The kill switch shares the workspace vocabulary ([`crate::envswitch`],
-//! same as `PHOTONN_FFT_NO_VEC` and `PHOTONN_TRACE`): set `PHOTONN_SIMD`
-//! to any falsy value (`off`/`0`/`false`/`no`, case-insensitive) to pin
-//! the scalar table (read once, at first dispatch).
+//! same as `PHOTONN_TRACE`): set `PHOTONN_SIMD` to any falsy value
+//! (`off`/`0`/`false`/`no`, case-insensitive) to pin the scalar table
+//! (read once, at first dispatch).
 //!
 //! # Numerical contract
 //!
@@ -189,8 +189,7 @@ pub fn detected() -> &'static KernelTable {
 
 /// The process-wide kernel table: [`detected`] unless `PHOTONN_SIMD` is
 /// `off`/`0`/`false`, cached on first call. The env var is read exactly
-/// once, so flipping it mid-process has no effect — same contract as
-/// `PHOTONN_FFT_NO_VEC`.
+/// once, so flipping it mid-process has no effect.
 pub fn active() -> &'static KernelTable {
     static ACTIVE: OnceLock<&'static KernelTable> = OnceLock::new();
     ACTIVE.get_or_init(|| {

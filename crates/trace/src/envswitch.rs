@@ -1,9 +1,8 @@
 //! The one environment kill-switch parser for the whole workspace.
 //!
-//! Every photonn switch (`PHOTONN_SIMD`, `PHOTONN_FFT_NO_VEC`,
-//! `PHOTONN_FFT_STRIP`, `PHOTONN_TRACE`) funnels through this module —
-//! re-exported as `photonn_math::envswitch` for the crates that sit
-//! above `photonn-math` — so every variable accepts the same
+//! Both photonn switches (`PHOTONN_SIMD` and `PHOTONN_TRACE`) funnel
+//! through this module — re-exported as `photonn_math::envswitch` for
+//! the crates that sit above `photonn-math` — so each accepts the same
 //! case-insensitive vocabulary:
 //!
 //! * truthy: `1`, `on`, `true`, `yes`
