@@ -15,14 +15,14 @@
 //! past the measured closed-loop throughput, independent of completions —
 //! across `--open-loop` connections (default 10 000), which is what a
 //! saturated frontend actually faces: arrivals do not politely wait for
-//! answers. The server runs multiple work-stealing dispatcher shards with
-//! admission control, and the bench records completions, sheds (429),
-//! degraded batches and client-observed latency.
+//! answers. The server runs several dispatcher threads over one shared,
+//! bounded queue, and the bench records completions, sheds (429) and
+//! client-observed latency.
 //!
 //! Writes `BENCH_serving.json` so successive PRs can track the serving
 //! trajectory. `--check-open-loop` turns the open-loop stage into a CI
 //! gate: the process exits nonzero if any connection ends in a transport
-//! error (sheds are fine — they are the admission control working) or no
+//! error (sheds are fine — they are the queue bound working) or no
 //! connection completes at all.
 //!
 //! ```sh
@@ -232,8 +232,6 @@ struct OpenLoopResult {
     errors: usize,
     p50_us: u64,
     p99_us: u64,
-    degraded_batches: u64,
-    steals: u64,
 }
 
 /// One in-flight one-shot request: write the canned bytes, read to EOF
@@ -254,9 +252,9 @@ fn flight_status(response: &[u8]) -> Option<u16> {
 }
 
 /// Open-loop saturation: `conns` one-shot requests launched on a fixed
-/// arrival schedule at `rate` req/s against a sharded, admission-controlled
-/// server. Returns what actually happened — completions, sheds, errors,
-/// client-observed latency.
+/// arrival schedule at `rate` req/s against a server with several
+/// dispatchers over one bounded queue. Returns what actually happened —
+/// completions, sheds, errors, client-observed latency.
 fn run_open_loop(
     donn: &Donn,
     grid: usize,
@@ -276,7 +274,6 @@ fn run_open_loop(
         })
         .cache_budget_bytes(0)
         .shards(shards)
-        .target_p99_us(20_000) // degrade batches before shedding
         .bind("127.0.0.1:0")
         .expect("bind loopback");
     let addr: SocketAddr = server.addr();
@@ -439,7 +436,6 @@ fn run_open_loop(
         }
     }
     let elapsed = bench_start.elapsed().as_secs_f64();
-    let snapshot = server.metrics();
     server.shutdown();
     latencies.sort_unstable();
     OpenLoopResult {
@@ -451,8 +447,6 @@ fn run_open_loop(
         errors,
         p50_us: percentile(&latencies, 50),
         p99_us: percentile(&latencies, 99),
-        degraded_batches: snapshot.degraded_batches,
-        steals: snapshot.steals_total,
     }
 }
 
@@ -543,12 +537,12 @@ fn bench_grid(grid: usize, opts: &Options) -> Json {
 
     // Open loop: offer 25 % more than the measured closed-loop dynamic
     // throughput so the frontend is genuinely saturated — the interesting
-    // regime for admission control and shedding.
+    // regime for the queue bound and shedding.
     let open_loop = (opts.open_loop > 0).then(|| {
         let rate = (results[1].req_per_sec * 1.25).max(50.0);
         let result = run_open_loop(&donn, grid, opts, opts.open_loop, rate);
         println!(
-            "open-loop: {} conns @ {:.0}/s offered | {:8.1} req/s | {} ok / {} shed / {} err | p50 {:6} us | p99 {:6} us | {} degraded | {} steals",
+            "open-loop: {} conns @ {:.0}/s offered | {:8.1} req/s | {} ok / {} shed / {} err | p50 {:6} us | p99 {:6} us",
             result.connections,
             result.offered_req_per_sec,
             result.req_per_sec,
@@ -557,8 +551,6 @@ fn bench_grid(grid: usize, opts: &Options) -> Json {
             result.errors,
             result.p50_us,
             result.p99_us,
-            result.degraded_batches,
-            result.steals,
         );
         // The saturation smoke gate: every offered connection must end in
         // a response — 2xx or a deliberate 429 shed — never a transport
@@ -615,11 +607,6 @@ fn bench_grid(grid: usize, opts: &Options) -> Json {
                 ("errors".into(), Json::Num(o.errors as f64)),
                 ("p50_latency_us".into(), Json::Num(o.p50_us as f64)),
                 ("p99_latency_us".into(), Json::Num(o.p99_us as f64)),
-                (
-                    "degraded_batches".into(),
-                    Json::Num(o.degraded_batches as f64),
-                ),
-                ("steals".into(), Json::Num(o.steals as f64)),
             ]),
         ));
     }

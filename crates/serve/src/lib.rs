@@ -10,10 +10,9 @@
 //!  10k clients ──HTTP──▶ event loop (epoll) ── conn state machines
 //!                              │  incremental parse → planar batch stack
 //!                              ▼
-//!              N dispatcher shards (per-model queues, work-stealing,
-//!              admission control: degrade batches under p99 pressure,
-//!              then shed with 429 + retry_after_ms once the one
-//!              pool-wide queue is full)
+//!              one shared queue of model groups, N dispatcher
+//!              threads (shed with 429 + retry_after_ms once the
+//!              bounded queue is full)
 //!                              │  one BatchCGrid ─▶ logits_batch
 //!                              ▼
 //!  10k clients ◀──JSON── event loop ◀── completion queue + waker
@@ -26,11 +25,11 @@
 //! | [`json`] | hand-rolled JSON codec (bit-exact `f64` round-trips), shared via `photonn-wire` |
 //! | [`poll`] | minimal `epoll`/`poll(2)` readiness shim + cross-thread waker (the crate's only `unsafe`) |
 //! | [`http`] | minimal HTTP/1.1: blocking codec for clients + incremental zero-copy parser for the event loop |
-//! | [`metrics`] | queue depth, batch-size histogram, p50/p99 latency, per-shard steal/shed counters |
+//! | [`metrics`] | queue depth, batch-size histogram, p50/p99 latency, shed count, per-dispatcher batch/job counters |
 //! | [`cache`] | memory-budgeted LRU over the mask-independent first hop |
 //! | [`registry`] | named model variants: ideal / quantized / deployed / noise-injected |
 //! | [`head`] | selectable readout heads: region sums or differential detection |
-//! | [`shard`] | sharded dispatch: per-model queues, work-stealing, one pool-wide queue bound, admission control |
+//! | [`shard`] | dispatch: N dispatcher threads over one bounded queue of model groups |
 //! | [`server`] | the event-loop frontend: [`ServerBuilder`], `/v1` + `/v2` routing, graceful drain |
 //!
 //! Because the batched engine is per-sample deterministic across batch

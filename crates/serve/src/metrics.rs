@@ -34,15 +34,11 @@ struct ModelCounters {
     latency_max_us: u64,
 }
 
-/// Live per-shard counters, written by one dispatcher shard and read by
-/// `/metrics` snapshots. The shard pool installs one per shard via
+/// Live per-shard counters, written by one dispatcher thread and read by
+/// `/metrics` snapshots. The shard pool installs one per dispatcher via
 /// [`Metrics::install_shards`].
 #[derive(Default)]
 pub struct ShardCounters {
-    /// Jobs currently parked in this shard's queues.
-    pub queue_depth: AtomicUsize,
-    /// Model groups this shard stole from a peer.
-    pub steals: AtomicU64,
     /// Batches this shard dispatched.
     pub batches: AtomicU64,
     /// Jobs this shard completed.
@@ -52,10 +48,6 @@ pub struct ShardCounters {
 /// A point-in-time copy of one shard's counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Jobs currently parked in this shard's queues.
-    pub queue_depth: usize,
-    /// Model groups this shard stole from a peer.
-    pub steals: u64,
     /// Batches this shard dispatched.
     pub batches: u64,
     /// Jobs this shard completed.
@@ -78,8 +70,6 @@ pub struct Metrics {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     sheds_total: AtomicU64,
-    steals_total: AtomicU64,
-    degraded_batches: AtomicU64,
     connections: AtomicUsize,
     latencies: Mutex<LatencyRing>,
     per_model: Mutex<BTreeMap<String, ModelCounters>>,
@@ -102,8 +92,6 @@ impl Default for Metrics {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             sheds_total: AtomicU64::new(0),
-            steals_total: AtomicU64::new(0),
-            degraded_batches: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             latencies: Mutex::new(LatencyRing::default()),
             per_model: Mutex::new(BTreeMap::new()),
@@ -154,12 +142,11 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Input-hop cache misses (0 when the cache is disabled).
     pub cache_misses: u64,
-    /// Requests shed by admission control (answered 429 + retry hint).
+    /// Requests shed because the queue was full (answered 429).
     pub sheds_total: u64,
-    /// Model groups moved between shards by work-stealing.
+    /// Always 0: dispatchers share one queue, so nothing is stolen.
     pub steals_total: u64,
-    /// Batches dispatched while admission control was degrading batch
-    /// sizes under p99 pressure.
+    /// Always 0: batch sizes are never degraded under latency pressure.
     pub degraded_batches: u64,
     /// Live client connections on the event loop.
     pub connections: usize,
@@ -239,19 +226,9 @@ impl Metrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one request shed by admission control.
+    /// Counts one request shed because the queue was full.
     pub fn record_shed(&self) {
         self.sheds_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one model group stolen between shards.
-    pub fn record_steal(&self) {
-        self.steals_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one batch dispatched under admission-control degradation.
-    pub fn record_degraded_batch(&self) {
-        self.degraded_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Updates the live-connections gauge.
@@ -326,8 +303,6 @@ impl Metrics {
             shards
                 .iter()
                 .map(|s| ShardStats {
-                    queue_depth: s.queue_depth.load(Ordering::Relaxed),
-                    steals: s.steals.load(Ordering::Relaxed),
                     batches: s.batches.load(Ordering::Relaxed),
                     jobs: s.jobs.load(Ordering::Relaxed),
                 })
@@ -347,8 +322,8 @@ impl Metrics {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             sheds_total: self.sheds_total.load(Ordering::Relaxed),
-            steals_total: self.steals_total.load(Ordering::Relaxed),
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
+            steals_total: 0,
+            degraded_batches: 0,
             connections: self.connections.load(Ordering::Relaxed),
             per_shard,
             latency_samples,
@@ -403,8 +378,6 @@ impl MetricsSnapshot {
             .iter()
             .map(|s| {
                 Json::object(vec![
-                    ("queue_depth".into(), Json::Num(s.queue_depth as f64)),
-                    ("steals".into(), Json::Num(s.steals as f64)),
                     ("batches".into(), Json::Num(s.batches as f64)),
                     ("jobs".into(), Json::Num(s.jobs as f64)),
                 ])
@@ -442,11 +415,6 @@ impl MetricsSnapshot {
                 Json::Num(self.p99_latency_us as f64),
             ),
             ("sheds_total".into(), Json::Num(self.sheds_total as f64)),
-            ("steals_total".into(), Json::Num(self.steals_total as f64)),
-            (
-                "degraded_batches".into(),
-                Json::Num(self.degraded_batches as f64),
-            ),
             ("connections".into(), Json::Num(self.connections as f64)),
             ("shards".into(), Json::Arr(shards)),
             ("models".into(), Json::object(models)),
@@ -554,31 +522,32 @@ mod tests {
     fn shard_and_admission_counters_surface_in_json() {
         let m = Metrics::new();
         let shards = Arc::new(vec![ShardCounters::default(), ShardCounters::default()]);
-        shards[1].steals.fetch_add(3, Ordering::Relaxed);
-        shards[1].queue_depth.store(5, Ordering::Relaxed);
+        shards[1].batches.fetch_add(3, Ordering::Relaxed);
+        shards[1].jobs.fetch_add(5, Ordering::Relaxed);
         m.install_shards(Arc::clone(&shards));
         m.record_shed();
         m.record_shed();
-        m.record_steal();
-        m.record_degraded_batch();
         m.set_connections(17);
         let s = m.snapshot();
         assert_eq!(s.sheds_total, 2);
-        assert_eq!(s.steals_total, 1);
-        assert_eq!(s.degraded_batches, 1);
+        assert_eq!((s.steals_total, s.degraded_batches), (0, 0));
         assert_eq!(s.connections, 17);
-        assert_eq!(s.per_shard.len(), 2);
-        assert_eq!(s.per_shard[1].steals, 3);
-        assert_eq!(s.per_shard[1].queue_depth, 5);
+        let per_shard: Vec<(u64, u64)> = s.per_shard.iter().map(|d| (d.batches, d.jobs)).collect();
+        assert_eq!(per_shard, [(0, 0), (3, 5)]);
         let parsed = Json::parse(&s.to_json().to_string()).unwrap();
         assert_eq!(parsed.get("sheds_total").and_then(Json::as_usize), Some(2));
         assert_eq!(parsed.get("connections").and_then(Json::as_usize), Some(17));
+        assert!(parsed.get("steals_total").is_none());
+        assert!(parsed.get("degraded_batches").is_none());
         let shards_json = parsed.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards_json.len(), 2);
         assert_eq!(
-            shards_json[1].get("steals").and_then(Json::as_usize),
+            shards_json[1].get("batches").and_then(Json::as_usize),
             Some(3)
         );
+        assert_eq!(shards_json[1].get("jobs").and_then(Json::as_usize), Some(5));
+        assert!(shards_json[1].get("steals").is_none());
+        assert!(shards_json[1].get("queue_depth").is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The event-loop front end: a readiness-polling HTTP/1.1 server over
-//! `std::net` that feeds the sharded dispatcher and reports metrics.
+//! `std::net` that feeds the dispatcher pool and reports metrics.
 //!
 //! One event-loop thread owns every connection. Sockets are nonblocking;
 //! a [`Poller`] (epoll on Linux, `poll(2)` elsewhere) reports readiness,
@@ -7,14 +7,14 @@
 //! read buffer, [`parse_available`] lifts complete requests out of it
 //! zero-copy, inference work is submitted to the [`ShardPool`], and
 //! responses serialize into a write buffer drained as the socket allows.
-//! Dispatcher shards hand finished batches back through a
-//! [`CompletionSink`] whose waker interrupts the poll.
+//! Dispatchers hand finished batches back through a [`CompletionSink`]
+//! whose waker interrupts the poll.
 //!
 //! Pipelined requests on one connection are answered **in request
-//! order** regardless of which shard finished first: each request takes a
-//! response *slot*, and only the front slot of a connection may
-//! serialize. That write-layer ordering is what lets work-stealing move
-//! jobs freely between shards without ever reordering a client's view.
+//! order** regardless of which dispatcher finished first: each request
+//! takes a response *slot*, and only the front slot of a connection may
+//! serialize. That write-layer ordering is what lets any dispatcher take
+//! any job from the shared queue without ever reordering a client's view.
 //!
 //! Shutdown is graceful: the pool drains (every accepted request is
 //! answered), the loop flushes every connection, then everything joins.
@@ -72,18 +72,14 @@ fn conn_token(slot: usize, generation: u32) -> u64 {
 /// Server construction options — the full set behind [`ServerBuilder`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Dispatcher coalescing policy; its queue bound counts jobs across
-    /// every shard.
+    /// Dispatcher coalescing policy; its queue bound counts every job
+    /// parked in the one shared queue.
     pub policy: BatchPolicy,
     /// Input-hop cache budget in bytes; `0` disables the cache.
     pub cache_budget_bytes: usize,
-    /// Dispatcher shards (each with its own per-model queues; idle
-    /// shards steal). `0` is treated as 1.
+    /// Dispatcher shards: threads that each take batches from the one
+    /// shared queue. `0` is treated as 1.
     pub shards: usize,
-    /// Admission-control p99 latency target in microseconds; when the
-    /// recent p99 exceeds it, batch ceilings degrade before any request
-    /// is shed. `0` disables degradation.
-    pub target_p99_us: u64,
     /// `retry_after_ms` hint attached to `/v2` shed (429) responses.
     pub retry_after_ms: u64,
     /// Most concurrent client connections; further accepts are dropped.
@@ -94,14 +90,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// Defaults: the [`BatchPolicy`] default, a 64 MiB input-hop cache,
-    /// up to 4 shards, admission degradation off, 50 ms retry hint,
-    /// 8192 connections, 16 MiB bodies.
+    /// up to 4 shards, 50 ms retry hint, 8192 connections, 16 MiB bodies.
     fn default() -> Self {
         ServeConfig {
             policy: BatchPolicy::default(),
             cache_budget_bytes: 64 << 20,
             shards: std::thread::available_parallelism().map_or(1, |p| p.get().min(4)),
-            target_p99_us: 0,
             retry_after_ms: 50,
             max_connections: 8192,
             max_body_bytes: crate::http::MAX_BODY_BYTES,
@@ -116,7 +110,6 @@ impl Default for ServeConfig {
 /// # fn demo(registry: ModelRegistry) -> std::io::Result<()> {
 /// let server = ServerBuilder::new(registry)
 ///     .shards(4)
-///     .target_p99_us(20_000)
 ///     .bind("127.0.0.1:8080")?;
 /// # drop(server); Ok(())
 /// # }
@@ -147,7 +140,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the number of dispatcher shards.
+    /// Sets the number of dispatcher shards (threads over the one queue).
     pub fn shards(mut self, shards: usize) -> ServerBuilder {
         self.config.shards = shards;
         self
@@ -156,12 +149,6 @@ impl ServerBuilder {
     /// Sets the input-hop cache budget (`0` disables the cache).
     pub fn cache_budget_bytes(mut self, bytes: usize) -> ServerBuilder {
         self.config.cache_budget_bytes = bytes;
-        self
-    }
-
-    /// Sets the admission-control p99 target (`0` disables degradation).
-    pub fn target_p99_us(mut self, us: u64) -> ServerBuilder {
-        self.config.target_p99_us = us;
         self
     }
 
@@ -211,7 +198,6 @@ impl ServerBuilder {
             config.shards,
             cache,
             Arc::clone(&metrics),
-            config.target_p99_us,
         );
         let core = Arc::new(Core {
             pool,
@@ -276,11 +262,6 @@ impl ServerHandle {
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
         self.core.metrics.snapshot()
-    }
-
-    /// Current admission-control degradation level (0 = healthy).
-    pub fn admission_level(&self) -> usize {
-        self.core.pool.admission_level()
     }
 
     /// Graceful shutdown: stop accepting, drain the dispatcher pool
@@ -623,7 +604,8 @@ impl EventLoop {
                 Ok(ParseOutcome::Ready { request, consumed }) => {
                     let close = request.wants_close();
                     let slot_id = conn.next_slot;
-                    let state = route(&self.core, &self.sink, token, slot_id, &request, close);
+                    let state =
+                        handle_request(&self.core, &self.sink, token, slot_id, &request, close);
                     if matches!(state, SlotState::Pending(_)) {
                         self.pending += 1;
                     }
@@ -799,7 +781,7 @@ fn protocol_error_response(violation: &ProtocolError) -> Response {
     }
 }
 
-fn route(
+fn handle_request(
     core: &Arc<Core>,
     sink: &Arc<CompletionSink>,
     token: u64,
@@ -943,6 +925,8 @@ fn v1_infer(
         Err(SubmitError::ShuttingDown) => ready(503, error_body("shutting down"), close),
         Err(e @ SubmitError::UnknownModel(_)) => ready(404, error_body(&e.to_string()), close),
         Err(e @ SubmitError::ShapeMismatch { .. }) => ready(400, error_body(&e.to_string()), close),
+        // One image always fits: `queue_capacity >= 1` is validated.
+        Err(e @ SubmitError::BatchTooLarge { .. }) => ready(413, error_body(&e.to_string()), close),
     }
 }
 
@@ -1031,6 +1015,12 @@ fn v2_infer(
                 close,
             )
         }
+        // No retry can admit it, so it is not a shed.
+        Err(e @ SubmitError::BatchTooLarge { .. }) => ready(
+            413,
+            v2_error_body("payload_too_large", &e.to_string(), None),
+            close,
+        ),
         Err(SubmitError::ShuttingDown) => ready(
             503,
             v2_error_body("shutting_down", "server is shutting down", None),
@@ -1226,14 +1216,12 @@ mod tests {
     fn builder_accumulates_config() {
         let builder = ServerBuilder::new(ModelRegistry::new())
             .shards(3)
-            .target_p99_us(5_000)
             .retry_after_ms(120)
             .max_connections(64)
             .max_body_bytes(1 << 20)
             .cache_budget_bytes(0)
             .policy(BatchPolicy::unbatched());
         assert_eq!(builder.config.shards, 3);
-        assert_eq!(builder.config.target_p99_us, 5_000);
         assert_eq!(builder.config.retry_after_ms, 120);
         assert_eq!(builder.config.max_connections, 64);
         assert_eq!(builder.config.max_body_bytes, 1 << 20);

@@ -1,21 +1,16 @@
-//! Sharded dispatch: N dispatcher shards with per-model queues,
-//! work-stealing, one pool-wide queue bound, and admission control.
+//! Shared-queue dispatch: N dispatcher threads over one queue of model
+//! groups, under one pool-wide queue bound.
 //!
-//! Each shard owns a FIFO of `ModelGroup`s — same-model jobs batch
-//! together because they share one `BatchCGrid` forward pass. Jobs route
-//! to a shard by a hash of their model name, so a steady mixed workload
-//! partitions without contention; an idle shard *steals* work from the
-//! deepest peer (a whole trailing group, or the back half of a lone large
-//! group) so a single hot model still spreads across every core.
+//! The queue is a FIFO of `ModelGroup`s — same-model jobs batch together
+//! because they share one `BatchCGrid` forward pass. Every dispatcher
+//! takes its next batch from that one queue, so a single hot model
+//! spreads across every dispatcher without routing or rebalancing.
 //!
-//! Admission control watches the pool's recent completion-latency window:
-//! when p99 exceeds the configured target, the effective batch ceiling and
-//! coalescing wait shrink (halving per degradation level) — trading
-//! throughput for latency *before* load shedding starts. Only when the
-//! pool's bounded queue is actually full does a submission bounce with
-//! [`SubmitError::QueueFull`], which the HTTP layer answers as 429 with a
-//! `retry_after_ms` hint. The bound counts parked jobs across every shard,
-//! so a 429 means the same thing at any shard count.
+//! A submission bounces with [`SubmitError::QueueFull`] only when the
+//! queue cannot take it whole; the HTTP layer answers that as 429 with a
+//! `retry_after_ms` hint. A batch with more inputs than the bound itself
+//! could never be admitted, so it is refused up front as
+//! [`SubmitError::BatchTooLarge`].
 //!
 //! Each job carries a [`CompletionHandle`]: batches aggregate
 //! per-request, then one completion record lands on a [`CompletionSink`]
@@ -29,18 +24,9 @@ use crate::registry::{ModelRegistry, ServedModel};
 use photonn_math::{BatchCGrid, BatchGrid, CGrid, Grid};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// How often an idle shard re-checks its peers for stealable work.
-const STEAL_POLL: Duration = Duration::from_millis(2);
-/// Deepest admission-control degradation (batch ceiling halves per level).
-const MAX_DEGRADE_LEVEL: usize = 3;
-/// Completion latencies kept in the admission window.
-const ADMISSION_WINDOW: usize = 256;
-/// Observations between admission-level recomputations.
-const ADMISSION_STRIDE: u64 = 32;
 
 // -------------------------------------------------------------- policy
 
@@ -53,8 +39,8 @@ pub struct BatchPolicy {
     /// microseconds. `0` dispatches immediately (batch size becomes
     /// whatever already queued).
     pub max_wait_us: u64,
-    /// Most jobs parked across the whole pool, whatever the shard count;
-    /// submissions beyond it are refused.
+    /// Most jobs parked in the pool's one queue, whatever the dispatcher
+    /// count; submissions beyond it are refused.
     pub queue_capacity: usize,
     /// FFT worker threads per dispatched batch (`0` is treated as 1).
     pub threads: usize,
@@ -92,8 +78,16 @@ impl BatchPolicy {
 /// Why a submission was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity (HTTP 429).
+    /// The bounded queue cannot take the submission now (HTTP 429).
     QueueFull,
+    /// The submission has more inputs than the queue can ever hold, so
+    /// no retry can admit it (HTTP 413).
+    BatchTooLarge {
+        /// Inputs in the refused submission.
+        inputs: usize,
+        /// The pool's `queue_capacity`.
+        capacity: usize,
+    },
     /// No model with this name is registered (HTTP 404).
     UnknownModel(String),
     /// The image does not match the model's grid (HTTP 400).
@@ -111,6 +105,9 @@ impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubmitError::QueueFull => write!(f, "queue full"),
+            SubmitError::BatchTooLarge { inputs, capacity } => {
+                write!(f, "{inputs} inputs exceed the queue capacity of {capacity}")
+            }
             SubmitError::UnknownModel(name) => write!(f, "unknown model '{name}'"),
             SubmitError::ShapeMismatch { expected, got } => write!(
                 f,
@@ -135,8 +132,8 @@ pub struct Completion {
     pub results: Vec<Vec<f64>>,
 }
 
-/// Where dispatcher shards park finished work for the event loop; pushing
-/// rings the loop's waker.
+/// Where dispatchers park finished work for the event loop; pushing rings
+/// the loop's waker.
 pub struct CompletionSink {
     queue: Mutex<Vec<Completion>>,
     waker: WakeHandle,
@@ -226,81 +223,6 @@ impl CompletionHandle {
     }
 }
 
-// ----------------------------------------------------------- admission
-
-/// Latency-pressure admission control shared by every shard.
-///
-/// Keeps a sliding window of completion latencies; every
-/// `ADMISSION_STRIDE` observations the window p99 is compared against
-/// the target: above it the degradation level steps up (halving the
-/// effective batch ceiling and coalescing wait), comfortably below it
-/// (< 70% of target) the level steps back down. `target_p99_us == 0`
-/// disables the mechanism.
-pub struct Admission {
-    target_p99_us: u64,
-    window: Mutex<VecDeque<u64>>,
-    observed: AtomicU64,
-    level: AtomicUsize,
-}
-
-impl Admission {
-    fn new(target_p99_us: u64) -> Admission {
-        Admission {
-            target_p99_us,
-            window: Mutex::new(VecDeque::with_capacity(ADMISSION_WINDOW)),
-            observed: AtomicU64::new(0),
-            level: AtomicUsize::new(0),
-        }
-    }
-
-    /// Current degradation level (0 = healthy).
-    pub fn level(&self) -> usize {
-        self.level.load(Ordering::Relaxed)
-    }
-
-    /// The policy ceilings after degradation.
-    fn effective(&self, policy: &BatchPolicy) -> (usize, u64) {
-        let level = self.level();
-        if level == 0 {
-            (policy.max_batch, policy.max_wait_us)
-        } else {
-            (
-                (policy.max_batch >> level).max(1),
-                policy.max_wait_us >> level,
-            )
-        }
-    }
-
-    fn observe(&self, us: u64) {
-        if self.target_p99_us == 0 {
-            return;
-        }
-        {
-            let mut window = self.window.lock().expect("admission lock");
-            if window.len() == ADMISSION_WINDOW {
-                window.pop_front();
-            }
-            window.push_back(us);
-        }
-        let n = self.observed.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(ADMISSION_STRIDE) {
-            return;
-        }
-        let p99 = {
-            let window = self.window.lock().expect("admission lock");
-            let mut sorted: Vec<u64> = window.iter().copied().collect();
-            sorted.sort_unstable();
-            sorted[(sorted.len() - 1) * 99 / 100]
-        };
-        let level = self.level();
-        if p99 > self.target_p99_us && level < MAX_DEGRADE_LEVEL {
-            self.level.store(level + 1, Ordering::Relaxed);
-        } else if p99 < self.target_p99_us * 7 / 10 && level > 0 {
-            self.level.store(level - 1, Ordering::Relaxed);
-        }
-    }
-}
-
 // ----------------------------------------------------------- the pool
 
 struct Job {
@@ -317,32 +239,36 @@ struct ModelGroup {
     jobs: VecDeque<Job>,
 }
 
-struct ShardState {
+/// The one queue every dispatcher takes its batches from.
+struct Queue {
     groups: VecDeque<ModelGroup>,
+    /// Jobs parked across every group: the bound admission checks.
     depth: usize,
     shutdown: bool,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    wake: Condvar,
-}
-
 struct PoolInner {
-    shards: Vec<Shard>,
+    queue: Mutex<Queue>,
+    /// Rung when jobs arrive, when a dispatcher leaves work behind, and
+    /// at shutdown.
+    wake: Condvar,
     counters: Arc<Vec<ShardCounters>>,
     registry: Arc<ModelRegistry>,
     policy: BatchPolicy,
     cache: Option<FirstHopCache>,
     metrics: Arc<Metrics>,
-    admission: Admission,
-    /// Jobs parked across every shard: the queue bound admission checks,
-    /// and the `queue_depth` gauge.
-    total_depth: AtomicUsize,
 }
 
-/// N dispatcher shards over one model registry. Dropping the pool shuts
-/// it down gracefully (queued jobs are still answered).
+/// Takes the queue lock; the `serve.queue_lock` span covers the wait for
+/// it, not the time it is held.
+fn lock_queue(pool: &PoolInner) -> MutexGuard<'_, Queue> {
+    let _wait = photonn_trace::span("serve.queue_lock");
+    pool.queue.lock().expect("queue lock")
+}
+
+/// N dispatcher threads over one model registry and one shared queue.
+/// Dropping the pool shuts it down gracefully (queued jobs are still
+/// answered).
 pub struct ShardPool {
     inner: Arc<PoolInner>,
     dispatchers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -350,7 +276,6 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Starts `shards` dispatcher threads over `registry`.
-    /// `target_p99_us == 0` disables admission-control degradation.
     ///
     /// # Panics
     ///
@@ -362,7 +287,6 @@ impl ShardPool {
         shards: usize,
         cache: Option<FirstHopCache>,
         metrics: Arc<Metrics>,
-        target_p99_us: u64,
     ) -> ShardPool {
         policy.validate();
         assert!(shards > 0, "at least one shard");
@@ -371,23 +295,17 @@ impl ShardPool {
             Arc::new((0..shards).map(|_| ShardCounters::default()).collect());
         metrics.install_shards(Arc::clone(&counters));
         let inner = Arc::new(PoolInner {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState {
-                        groups: VecDeque::new(),
-                        depth: 0,
-                        shutdown: false,
-                    }),
-                    wake: Condvar::new(),
-                })
-                .collect(),
+            queue: Mutex::new(Queue {
+                groups: VecDeque::new(),
+                depth: 0,
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
             counters,
             registry,
             policy,
             cache,
             metrics,
-            admission: Admission::new(target_p99_us),
-            total_depth: AtomicUsize::new(0),
         });
         let dispatchers = (0..shards)
             .map(|index| {
@@ -407,16 +325,6 @@ impl ShardPool {
     /// The registry this pool serves.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.inner.registry
-    }
-
-    /// Number of dispatcher shards.
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Current admission-control degradation level (0 = healthy).
-    pub fn admission_level(&self) -> usize {
-        self.inner.admission.level()
     }
 
     /// Resolves a model name (`None` routes to the registry default).
@@ -489,27 +397,21 @@ impl ShardPool {
             }
         }
         let count = images.len();
-        let index = self.route(model.name());
-        let shard = &self.inner.shards[index];
-        let depth_after;
+        let capacity = self.inner.policy.queue_capacity;
+        if count > capacity {
+            return Err(SubmitError::BatchTooLarge {
+                inputs: count,
+                capacity,
+            });
+        }
         {
-            // Held across the reservation, so a shutdown wins over it.
-            let mut state = shard.state.lock().expect("shard lock");
-            if state.shutdown {
+            let mut queue = lock_queue(&self.inner);
+            if queue.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            // One pool-wide bound, reserved in one atomic step so submits
-            // on other shards cannot over-admit; stolen jobs still count.
-            // Relaxed: the shard lock, not this counter, publishes jobs.
-            let capacity = self.inner.policy.queue_capacity;
-            let total = self
-                .inner
-                .total_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
-                    Some(depth + count).filter(|&total| total <= capacity)
-                })
-                .map_err(|_| SubmitError::QueueFull)?
-                + count;
+            if queue.depth + count > capacity {
+                return Err(SubmitError::QueueFull);
+            }
             let now = Instant::now();
             let jobs = images.into_iter().zip(replies).map(|(image, reply)| Job {
                 model: Arc::clone(model),
@@ -518,74 +420,41 @@ impl ShardPool {
                 reply,
                 enqueued: now,
             });
-            match state
+            match queue
                 .groups
                 .iter_mut()
                 .find(|g| Arc::ptr_eq(&g.model, model))
             {
                 Some(group) => group.jobs.extend(jobs),
-                None => state.groups.push_back(ModelGroup {
+                None => queue.groups.push_back(ModelGroup {
                     model: Arc::clone(model),
                     jobs: jobs.collect(),
                 }),
             }
-            state.depth += count;
-            depth_after = state.depth;
-            self.inner.counters[index]
-                .queue_depth
-                .store(state.depth, Ordering::Relaxed);
-            self.inner.metrics.set_queue_depth(total);
+            queue.depth += count;
+            self.inner.metrics.set_queue_depth(queue.depth);
         }
         for _ in 0..count {
             self.inner.metrics.record_model_request(model.name());
         }
-        shard.wake.notify_all();
-        self.ping_idle_peers(index, depth_after);
+        self.inner.wake.notify_one();
         Ok(())
     }
 
-    /// Wakes every peer shard when `home` has accumulated more than one
-    /// batch's worth of work — idle dispatchers wake into their
-    /// steal-before-park path immediately instead of on the next
-    /// `STEAL_POLL` tick, so a burst spreads across shards at
-    /// microsecond (not poll-tick) latency.
-    fn ping_idle_peers(&self, home: usize, depth: usize) {
-        if self.inner.shards.len() > 1 && depth > self.inner.policy.max_batch {
-            for (i, shard) in self.inner.shards.iter().enumerate() {
-                if i != home {
-                    shard.wake.notify_all();
-                }
-            }
-        }
-    }
-
-    /// Total jobs parked across every shard.
+    /// Jobs parked in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.inner.total_depth.load(Ordering::Relaxed)
+        self.inner.queue.lock().expect("queue lock").depth
     }
 
-    /// Stops accepting jobs, drains every shard (each parked job still
+    /// Stops accepting jobs, drains the queue (each parked job still
     /// receives its logits), and joins the dispatchers. Idempotent.
     pub fn shutdown(&self) {
-        for shard in &self.inner.shards {
-            shard.state.lock().expect("shard lock").shutdown = true;
-            shard.wake.notify_all();
-        }
+        self.inner.queue.lock().expect("queue lock").shutdown = true;
+        self.inner.wake.notify_all();
         let mut handles = self.dispatchers.lock().expect("join lock");
         for handle in handles.drain(..) {
             handle.join().expect("shard dispatcher panicked");
         }
-    }
-
-    fn route(&self, model_name: &str) -> usize {
-        // FNV-1a over the name: stable, dependency-free, and spreads the
-        // handful of registered names well enough.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in model_name.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-        (hash % self.inner.shards.len() as u64) as usize
     }
 }
 
@@ -598,51 +467,26 @@ impl Drop for ShardPool {
 // ------------------------------------------------------ dispatch loops
 
 fn dispatch_loop(pool: &PoolInner, index: usize) {
-    while let Some(jobs) = next_batch(pool, index) {
+    while let Some(jobs) = next_batch(pool) {
         run_batch(pool, index, jobs);
     }
 }
 
-/// Blocks until this shard has a dispatchable batch; `None` when the pool
-/// is shut down and this shard's queue is drained.
-fn next_batch(pool: &PoolInner, index: usize) -> Option<Vec<Job>> {
-    let shard = &pool.shards[index];
-    let mut state = shard.state.lock().expect("shard lock");
+/// Blocks until the queue holds a dispatchable batch; `None` when the
+/// pool is shut down and the queue is drained.
+fn next_batch(pool: &PoolInner) -> Option<Vec<Job>> {
+    let max_batch = pool.policy.max_batch;
+    let mut queue = lock_queue(pool);
     loop {
-        if state.depth == 0 {
-            if state.shutdown {
+        if queue.depth == 0 {
+            if queue.shutdown {
                 return None;
             }
-            if pool.shards.len() > 1 {
-                // Idle with peers: try to steal before parking. The own
-                // lock is dropped first so shard locks never nest.
-                drop(state);
-                let stolen = steal(pool, index);
-                state = shard.state.lock().expect("shard lock");
-                if let Some(group) = stolen {
-                    state.depth += group.jobs.len();
-                    state.groups.push_front(group);
-                    pool.counters[index]
-                        .queue_depth
-                        .store(state.depth, Ordering::Relaxed);
-                    continue;
-                }
-                if state.depth > 0 || state.shutdown {
-                    continue;
-                }
-                let (next, _) = shard
-                    .wake
-                    .wait_timeout(state, STEAL_POLL)
-                    .expect("shard lock");
-                state = next;
-            } else {
-                state = shard.wake.wait(state).expect("shard lock");
-            }
+            queue = pool.wake.wait(queue).expect("queue lock");
             continue;
         }
-        let (max_batch, max_wait_us) = pool.admission.effective(&pool.policy);
         // Dispatch by age, not queue position: the group whose head job
-        // has waited longest owns the shard's deadline, so sustained
+        // has waited longest owns the pool's deadline, so sustained
         // traffic to one model can never starve another model's group
         // parked behind it (its max_wait is always consulted). A group
         // that has already filled a batch goes immediately — oldest such
@@ -650,93 +494,56 @@ fn next_batch(pool: &PoolInner, index: usize) -> Option<Vec<Job>> {
         let head_of = |group: &ModelGroup| group.jobs.front().expect("non-empty group").enqueued;
         let mut oldest = 0;
         let mut full: Option<usize> = None;
-        for (i, group) in state.groups.iter().enumerate() {
+        for (i, group) in queue.groups.iter().enumerate() {
             let head = head_of(group);
-            if head < head_of(&state.groups[oldest]) {
+            if head < head_of(&queue.groups[oldest]) {
                 oldest = i;
             }
             if group.jobs.len() >= max_batch
-                && full.is_none_or(|f| head < head_of(&state.groups[f]))
+                && full.is_none_or(|f| head < head_of(&queue.groups[f]))
             {
                 full = Some(i);
             }
         }
-        let deadline = head_of(&state.groups[oldest]) + Duration::from_micros(max_wait_us);
+        let deadline =
+            head_of(&queue.groups[oldest]) + Duration::from_micros(pool.policy.max_wait_us);
         let now = Instant::now();
-        let pick = if state.shutdown || now >= deadline {
+        let pick = if queue.shutdown || now >= deadline {
             Some(oldest)
         } else {
             full
         };
         if let Some(at) = pick {
-            let jobs = take_group(&mut state, at, max_batch);
-            pool.counters[index]
-                .queue_depth
-                .store(state.depth, Ordering::Relaxed);
-            let total = pool.total_depth.fetch_sub(jobs.len(), Ordering::Relaxed) - jobs.len();
-            pool.metrics.set_queue_depth(total);
+            let jobs = take_group(&mut queue, at, max_batch);
+            pool.metrics.set_queue_depth(queue.depth);
+            let left_work = queue.depth > 0;
+            drop(queue);
+            if left_work {
+                // What this batch left behind may already be due; an idle
+                // peer takes it rather than wait for this batch to run.
+                pool.wake.notify_one();
+            }
             return Some(jobs);
         }
-        let (next, _) = shard
+        let (next, _) = pool
             .wake
-            .wait_timeout(state, deadline - now)
-            .expect("shard lock");
-        state = next;
+            .wait_timeout(queue, deadline - now)
+            .expect("queue lock");
+        queue = next;
     }
 }
 
 /// Takes up to `max_batch` jobs off the group at `at`, removing the group
 /// when it empties (order within the group is preserved).
-fn take_group(state: &mut ShardState, at: usize, max_batch: usize) -> Vec<Job> {
-    let group = &mut state.groups[at];
+fn take_group(queue: &mut Queue, at: usize, max_batch: usize) -> Vec<Job> {
+    let group = &mut queue.groups[at];
     let take = group.jobs.len().min(max_batch);
     let jobs: Vec<Job> = group.jobs.drain(..take).collect();
     if group.jobs.is_empty() {
-        state.groups.remove(at);
+        queue.groups.remove(at);
     }
-    state.depth -= jobs.len();
+    queue.depth -= jobs.len();
     jobs
-}
-
-/// Steals work from the deepest peer: its trailing model group, or — when
-/// only one group exists — the back half of that group's jobs, so a
-/// single hot model still spreads across shards.
-fn steal(pool: &PoolInner, thief: usize) -> Option<ModelGroup> {
-    let victim = pool
-        .counters
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != thief)
-        .map(|(i, c)| (c.queue_depth.load(Ordering::Relaxed), i))
-        .max()?;
-    // Not worth the locks for a single queued job.
-    if victim.0 < 2 {
-        return None;
-    }
-    let shard = &pool.shards[victim.1];
-    let mut state = shard.state.lock().expect("shard lock");
-    let group = if state.groups.len() > 1 {
-        state.groups.pop_back()?
-    } else {
-        let front = state.groups.front_mut()?;
-        if front.jobs.len() < 2 {
-            return None;
-        }
-        let keep = front.jobs.len() / 2;
-        let stolen: VecDeque<Job> = front.jobs.split_off(keep);
-        ModelGroup {
-            model: Arc::clone(&front.model),
-            jobs: stolen,
-        }
-    };
-    state.depth -= group.jobs.len();
-    pool.counters[victim.1]
-        .queue_depth
-        .store(state.depth, Ordering::Relaxed);
-    drop(state);
-    pool.counters[thief].steals.fetch_add(1, Ordering::Relaxed);
-    pool.metrics.record_steal();
-    Some(group)
 }
 
 // ----------------------------------------------------------- batch run
@@ -748,9 +555,6 @@ fn run_batch(pool: &PoolInner, index: usize, jobs: Vec<Job>) {
     let threads = pool.policy.threads;
     let model = Arc::clone(&jobs[0].model);
     pool.metrics.record_batch(jobs.len());
-    if pool.admission.level() > 0 {
-        pool.metrics.record_degraded_batch();
-    }
     pool.counters[index].batches.fetch_add(1, Ordering::Relaxed);
     // Each job's queue wait ended the moment this batch started; the
     // interval is reconstructed from the enqueue instant rather than held
@@ -784,7 +588,6 @@ fn run_batch(pool: &PoolInner, index: usize, jobs: Vec<Job>) {
         let us = done.duration_since(job.enqueued).as_micros() as u64;
         pool.metrics.record_latency_us(us);
         pool.metrics.record_model_latency(model.name(), us);
-        pool.admission.observe(us);
         job.reply.complete(logits);
     }
 }
@@ -959,7 +762,6 @@ mod tests {
                 shards,
                 None,
                 Arc::new(Metrics::new()),
-                0,
             );
             let models = [
                 pool.resolve(None).unwrap(),
@@ -967,7 +769,7 @@ mod tests {
             ];
             let mut inbox = Inbox::new();
             // Distinct images alternating between two models: coalescing
-            // and stealing may slice the burst arbitrarily, yet every
+            // across dispatchers may slice the burst arbitrarily, yet every
             // request must get its own image's logits from its own model.
             for (id, img) in (0..).zip(&imgs) {
                 let model = models[id as usize % 2];
@@ -1005,18 +807,24 @@ mod tests {
                 shards,
                 None,
                 Arc::new(Metrics::new()),
-                0,
             );
             let ideal = pool.resolve(Some("ideal")).unwrap().clone();
             let deployed = pool.resolve(Some("deployed")).unwrap().clone();
-            if shards > 1 {
-                assert_ne!(pool.route("ideal"), pool.route("deployed"));
-            }
             let mut inbox = Inbox::new();
+            // More inputs than the bound: refused as never admissible,
+            // even into an empty queue.
+            let triple = CompletionHandle::batch(&inbox.sink, 4, 0, 3);
+            assert_eq!(
+                pool.submit_batch(&ideal, ReadoutHead::Sum, imgs[..3].to_vec(), triple),
+                Err(SubmitError::BatchTooLarge {
+                    inputs: 3,
+                    capacity: 2
+                })
+            );
             inbox
                 .submit(&pool, &ideal, ReadoutHead::Sum, &imgs[0], 0)
                 .unwrap();
-            // One slot left: a 2-sample batch on the other shard is
+            // One slot left: a 2-sample batch for the other model is
             // refused whole.
             let pair = CompletionHandle::batch(&inbox.sink, 1, 0, 2);
             assert_eq!(
@@ -1049,7 +857,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         // Generous wait so the dispatcher *wants* to coalesce everything;
         // max_batch must still cap every dispatched group at 2.
-        let pool = ShardPool::new(reg, policy(2, 50_000), 1, None, Arc::clone(&metrics), 0);
+        let pool = ShardPool::new(reg, policy(2, 50_000), 1, None, Arc::clone(&metrics));
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
         let imgs = images(5);
@@ -1074,14 +882,7 @@ mod tests {
     fn max_wait_dispatches_partial_batches() {
         let (reg, donn) = registry();
         // max_batch far above traffic: only the deadline can trigger.
-        let pool = ShardPool::new(
-            reg,
-            policy(64, 20_000),
-            1,
-            None,
-            Arc::new(Metrics::new()),
-            0,
-        );
+        let pool = ShardPool::new(reg, policy(64, 20_000), 1, None, Arc::new(Metrics::new()));
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
         let img = images(1).remove(0);
@@ -1102,7 +903,7 @@ mod tests {
     #[test]
     fn submit_validates_model_and_shape_upfront() {
         let (reg, _) = registry();
-        let pool = ShardPool::new(reg, policy(4, 100), 1, None, Arc::new(Metrics::new()), 0);
+        let pool = ShardPool::new(reg, policy(4, 100), 1, None, Arc::new(Metrics::new()));
         assert_eq!(
             pool.resolve(Some("nope")).unwrap_err(),
             SubmitError::UnknownModel("nope".into())
@@ -1128,7 +929,6 @@ mod tests {
             1,
             None,
             Arc::new(Metrics::new()),
-            0,
         );
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
@@ -1155,14 +955,7 @@ mod tests {
         let (reg, donn) = registry();
         let metrics = Arc::new(Metrics::new());
         let cache = FirstHopCache::new(64 << 20);
-        let pool = ShardPool::new(
-            reg,
-            policy(4, 2_000),
-            1,
-            Some(cache),
-            Arc::clone(&metrics),
-            0,
-        );
+        let pool = ShardPool::new(reg, policy(4, 2_000), 1, Some(cache), Arc::clone(&metrics));
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
         let imgs = images(4);
@@ -1197,7 +990,6 @@ mod tests {
             1,
             Some(cache),
             Arc::clone(&metrics),
-            0,
         );
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
@@ -1220,12 +1012,12 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_spreads_a_hot_model_across_shards() {
+    fn hot_model_burst_runs_batches_on_every_dispatcher() {
         let (reg, donn) = registry();
         let metrics = Arc::new(Metrics::new());
-        // One model, two shards, long coalescing wait and a small batch
-        // ceiling: the routed shard accumulates a backlog the idle shard
-        // must steal from.
+        // One model, two dispatchers, long coalescing wait and a small
+        // batch ceiling: a burst is many full batches in one queue, and a
+        // dispatcher that takes one leaves the rest to its idle peer.
         let pool = ShardPool::new(
             reg,
             BatchPolicy {
@@ -1237,14 +1029,12 @@ mod tests {
             2,
             None,
             Arc::clone(&metrics),
-            0,
         );
         let imgs = images(16);
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();
-        // Whether the idle shard wins the race against the home shard's
-        // own drain depends on thread scheduling, so burst repeatedly; a
-        // single stolen batch anywhere proves the mechanism.
+        // Which dispatcher wakes first depends on thread scheduling, so
+        // burst repeatedly until each has run a batch.
         for round in 0..50 {
             for (id, img) in (0..).zip(&imgs) {
                 inbox
@@ -1255,12 +1045,12 @@ mod tests {
                 assert_eq!(inbox.recv(id), donn.logits(img));
             }
             let snap = metrics.snapshot();
-            if snap.steals_total > 0 && snap.per_shard.iter().all(|s| s.batches > 0) {
+            if snap.per_shard.iter().all(|s| s.batches > 0) {
                 return;
             }
             assert!(
                 round < 49,
-                "idle shard never stole from the backlog: {snap:?}"
+                "a dispatcher never ran a batch of the hot model: {snap:?}"
             );
         }
     }
@@ -1268,44 +1058,51 @@ mod tests {
     #[test]
     fn full_newer_group_neither_waits_behind_nor_starves_an_older_group() {
         let (reg, donn) = registry();
-        let metrics = Arc::new(Metrics::new());
-        // One shard so both models share a queue; a 2 s coalescing wait
-        // so the older, non-full group parks the dispatcher.
-        let pool = ShardPool::new(reg, policy(4, 2_000_000), 1, None, metrics, 0);
-        let imgs = images(5);
-        let ideal = pool.resolve(Some("ideal")).unwrap().clone();
-        let q8 = pool.resolve(Some("q8")).unwrap().clone();
-        let mut inbox = Inbox::new();
-        inbox
-            .submit(&pool, &ideal, ReadoutHead::Sum, &imgs[0], 0)
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        for (id, img) in (1..).zip(&imgs[1..]) {
-            inbox.submit(&pool, &q8, ReadoutHead::Sum, img, id).unwrap();
-        }
-        // The batch-sized q8 group must dispatch right away instead of
-        // queueing behind ideal's far-off coalescing deadline.
-        for id in 1..5 {
+        // Both models share the one queue at any dispatcher count; a 2 s
+        // coalescing wait so the older, non-full group parks a dispatcher.
+        for shards in [1, 2] {
+            let pool = ShardPool::new(
+                Arc::clone(&reg),
+                policy(4, 2_000_000),
+                shards,
+                None,
+                Arc::new(Metrics::new()),
+            );
+            let imgs = images(5);
+            let ideal = pool.resolve(Some("ideal")).unwrap().clone();
+            let q8 = pool.resolve(Some("q8")).unwrap().clone();
+            let mut inbox = Inbox::new();
             inbox
-                .recv_timeout(id, Duration::from_millis(500))
-                .expect("full group stuck behind an older non-full group");
+                .submit(&pool, &ideal, ReadoutHead::Sum, &imgs[0], 0)
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            for (id, img) in (1..).zip(&imgs[1..]) {
+                inbox.submit(&pool, &q8, ReadoutHead::Sum, img, id).unwrap();
+            }
+            // The batch-sized q8 group must dispatch right away instead of
+            // queueing behind ideal's far-off coalescing deadline.
+            for id in 1..5 {
+                inbox
+                    .recv_timeout(id, Duration::from_millis(500))
+                    .expect("full group stuck behind an older non-full group");
+            }
+            // And the older group still goes out on its own deadline — the
+            // hot model cannot starve it.
+            assert_eq!(
+                inbox
+                    .recv_timeout(0, Duration::from_secs(10))
+                    .map(|c| c.results),
+                Some(vec![donn.logits(&imgs[0])]),
+                "{shards} dispatchers: older group starved or misrouted"
+            );
         }
-        // And the older group still goes out on its own deadline — the
-        // hot model cannot starve it.
-        assert_eq!(
-            inbox
-                .recv_timeout(0, Duration::from_secs(10))
-                .map(|c| c.results),
-            Some(vec![donn.logits(&imgs[0])]),
-            "older group starved or misrouted"
-        );
     }
 
     #[test]
     fn completion_sink_aggregates_batched_requests_in_order() {
         let (reg, donn) = registry();
         let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::new(reg, policy(8, 1_000), 2, None, metrics, 0);
+        let pool = ShardPool::new(reg, policy(8, 1_000), 2, None, metrics);
         let mut inbox = Inbox::new();
         let imgs = images(5);
         let model = pool.resolve(None).unwrap().clone();
@@ -1327,46 +1124,11 @@ mod tests {
     }
 
     #[test]
-    fn admission_degrades_under_latency_pressure_and_recovers() {
-        let admission = Admission::new(1_000);
-        let policy = policy(16, 2_000);
-        assert_eq!(admission.effective(&policy), (16, 2_000));
-        // A window of slow completions trips a degradation step.
-        for _ in 0..ADMISSION_STRIDE {
-            admission.observe(50_000);
-        }
-        assert_eq!(admission.level(), 1);
-        assert_eq!(admission.effective(&policy), (8, 1_000));
-        // Keep hurting: the level climbs but never below batch=1.
-        for _ in 0..(ADMISSION_STRIDE * MAX_DEGRADE_LEVEL as u64) {
-            admission.observe(50_000);
-        }
-        assert_eq!(admission.level(), MAX_DEGRADE_LEVEL);
-        assert!(admission.effective(&policy).0 >= 1);
-        // Fast completions wash the slow ones out of the window and the
-        // level steps back down to healthy.
-        for _ in 0..(ADMISSION_WINDOW as u64 + ADMISSION_STRIDE * 10) {
-            admission.observe(10);
-        }
-        assert_eq!(admission.level(), 0);
-        assert_eq!(admission.effective(&policy), (16, 2_000));
-    }
-
-    #[test]
-    fn disabled_admission_never_degrades() {
-        let admission = Admission::new(0);
-        for _ in 0..(ADMISSION_STRIDE * 4) {
-            admission.observe(u64::MAX / 2);
-        }
-        assert_eq!(admission.level(), 0);
-    }
-
-    #[test]
     fn differential_head_jobs_coexist_with_sum_jobs_in_one_batch() {
         let (reg, donn) = registry();
         let metrics = Arc::new(Metrics::new());
         // Long wait so both jobs coalesce into one batch.
-        let pool = ShardPool::new(reg, policy(8, 50_000), 1, None, metrics, 0);
+        let pool = ShardPool::new(reg, policy(8, 50_000), 1, None, metrics);
         let img = images(1).remove(0);
         let model = pool.resolve(None).unwrap().clone();
         let mut inbox = Inbox::new();

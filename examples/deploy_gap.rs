@@ -1,7 +1,10 @@
-//! The paper's motivation, end to end: rough masks lose accuracy when
-//! "deployed" on hardware with interpixel crosstalk; physics-aware
-//! optimization closes the gap. Trains a roughness-oblivious baseline and
-//! a roughness-aware model, then sweeps the crosstalk strength.
+//! The paper's motivation, end to end: rough masks should lose accuracy
+//! when "deployed" on hardware with interpixel crosstalk, and
+//! physics-aware optimization should close that gap. Trains a
+//! roughness-oblivious baseline and a roughness-aware model, sweeps the
+//! crosstalk strength, then prints what it measured: each model's digital
+//! accuracy beside chance, and its accuracy change at the strongest
+//! crosstalk.
 //!
 //! ```sh
 //! cargo run --release --example deploy_gap
@@ -46,6 +49,8 @@ fn main() {
     );
 
     println!("crosstalk κ | baseline digital→deployed | aware digital→deployed");
+    let mut strongest = [(0.0, 0.0); 2];
+    let mut kappa_max = 0.0;
     for kappa in [0.0, 0.05, 0.1, 0.2, 0.3] {
         let fab = FabricationModel::new(kappa);
         let (bd, bdep) = deployment_gap(&baseline, &fab, &test_set, 2);
@@ -57,8 +62,18 @@ fn main() {
             ad * 100.0,
             adep * 100.0
         );
+        strongest = [(bd, bdep), (ad, adep)];
+        kappa_max = kappa;
     }
-    println!("\nSmoother masks keep more of their digital accuracy under crosstalk —");
-    println!("the sim-to-real gap the paper's roughness score predicts (§II-B cites");
-    println!("≥30% degradation for roughness-oblivious deployments).");
+    // The paper (§II-B) cites ≥30% degradation for roughness-oblivious
+    // deployments; report what this run measured, whichever way it went.
+    let chance = 100.0 / test_set.num_classes() as f64;
+    println!();
+    for (name, (digital, deployed)) in ["baseline", "roughness-aware"].into_iter().zip(strongest) {
+        println!(
+            "{name:>15}: digital {:.1}% (chance {chance:.1}%), {:+.1} points deployed at κ = {kappa_max:.2}",
+            digital * 100.0,
+            (deployed - digital) * 100.0
+        );
+    }
 }

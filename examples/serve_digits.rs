@@ -98,8 +98,8 @@ fn main() {
     registry.register_quantized("quantized8", &donn, 8);
     registry.register_deployed("deployed", &donn, FabricationModel::new(0.1));
 
-    // 3. Serve on a loopback port: dynamic batching across two
-    //    work-stealing dispatcher shards.
+    // 3. Serve on a loopback port: dynamic batching by two dispatcher
+    //    threads over one shared queue.
     let mut server = ServerBuilder::new(registry)
         .policy(BatchPolicy {
             max_batch: 16,

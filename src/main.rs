@@ -6,8 +6,8 @@
 //! photonn serve [--addr 127.0.0.1:7878] [--grid 32] [--epochs 0]
 //!               [--max-batch 16] [--max-wait-us 2000] [--queue-cap 256]
 //!               [--threads N] [--cache-mb 64] [--levels 8] [--crosstalk 0.1]
-//!               [--noise-sigma 0.05] [--shards N] [--target-p99-us 0]
-//!               [--retry-after-ms 50] [--max-connections 8192]
+//!               [--noise-sigma 0.05] [--shards N] [--retry-after-ms 50]
+//!               [--max-connections 8192]
 //! photonn train [--grid 32] [--samples 600] [--epochs 3] [--batch 25]
 //!               [--lr 0.05] [--seed 7] [--workers N] [--threads T]
 //!               [--peers host:port,host:port,...] [--hostfile PATH]
@@ -22,8 +22,8 @@
 //! process is killed (see `examples/serve_digits.rs`): `/v1/logits` is
 //! the original single-sample wire format, `/v2/logits` accepts batched
 //! inputs with per-request model and readout-head selection, and
-//! `--shards`/`--target-p99-us` size the work-stealing dispatcher and
-//! its latency-pressure admission control. `train` runs the sharded data-parallel
+//! `--shards` sets how many dispatcher threads take batches from the one
+//! shared queue. `train` runs the sharded data-parallel
 //! trainer — in-process worker threads by default, or rank-0-plus-peers
 //! over loopback TCP when `--peers` lists `dist-worker` processes (see
 //! `examples/dist_digits.rs`); `--trace out.json` turns on `photonn-trace`
@@ -55,7 +55,6 @@ struct ServeOptions {
     crosstalk: f64,
     noise_sigma: f64,
     shards: usize,
-    target_p99_us: u64,
     retry_after_ms: u64,
     max_connections: usize,
 }
@@ -77,7 +76,6 @@ impl Default for ServeOptions {
             crosstalk: 0.1,
             noise_sigma: 0.05,
             shards: serve.shards,
-            target_p99_us: serve.target_p99_us,
             retry_after_ms: serve.retry_after_ms,
             max_connections: serve.max_connections,
         }
@@ -92,8 +90,8 @@ fn usage_error(message: String) -> ! {
     eprintln!("usage: photonn serve [--addr A] [--grid N] [--epochs E] [--max-batch B]");
     eprintln!("                     [--max-wait-us U] [--queue-cap Q] [--threads T]");
     eprintln!("                     [--cache-mb M] [--levels L] [--crosstalk K]");
-    eprintln!("                     [--noise-sigma S] [--shards N] [--target-p99-us P]");
-    eprintln!("                     [--retry-after-ms R] [--max-connections C]");
+    eprintln!("                     [--noise-sigma S] [--shards N] [--retry-after-ms R]");
+    eprintln!("                     [--max-connections C]");
     std::process::exit(2);
 }
 
@@ -135,7 +133,6 @@ fn parse_serve_options(args: &[String]) -> ServeOptions {
             "--crosstalk" => opts.crosstalk = parsed(flag, value),
             "--noise-sigma" => opts.noise_sigma = parsed(flag, value),
             "--shards" => opts.shards = parsed(flag, value),
-            "--target-p99-us" => opts.target_p99_us = parsed(flag, value),
             "--retry-after-ms" => opts.retry_after_ms = parsed(flag, value),
             "--max-connections" => opts.max_connections = parsed(flag, value),
             other => usage_error(format!("unknown flag '{other}'")),
@@ -179,7 +176,6 @@ fn serve(args: &[String]) {
         })
         .cache_budget_bytes(opts.cache_mb << 20)
         .shards(opts.shards)
-        .target_p99_us(opts.target_p99_us)
         .retry_after_ms(opts.retry_after_ms)
         .max_connections(opts.max_connections)
         .bind(opts.addr.as_str())
@@ -204,8 +200,8 @@ fn serve(args: &[String]) {
         opts.max_batch, opts.max_wait_us, opts.queue_cap, opts.threads, opts.cache_mb
     );
     println!(
-        "frontend: {} shard(s) | target p99 {} us | retry-after {} ms | max {} conns",
-        opts.shards, opts.target_p99_us, opts.retry_after_ms, opts.max_connections
+        "frontend: {} shard(s) | retry-after {} ms | max {} conns",
+        opts.shards, opts.retry_after_ms, opts.max_connections
     );
     // Serve until the process is killed; the handle's Drop shuts down.
     loop {

@@ -10,6 +10,7 @@ use photonn::math::Rng;
 use photonn::serve::{
     client, BatchPolicy, ClientError, Json, ModelRegistry, ReadoutHead, ServerBuilder, ServerHandle,
 };
+use std::time::{Duration, Instant};
 
 const GRID: usize = 16;
 
@@ -155,31 +156,60 @@ fn oversized_v2_body_answers_structured_413() {
 #[test]
 fn shed_answers_429_with_retry_hint() {
     let donn = model();
-    // Capacity 2: a single 3-input batch cannot be admitted atomically.
+    // Capacity 2 behind a coalescing wait no test outlives: a parked
+    // 2-input request fills the queue until shutdown drains it.
     let mut server = ServerBuilder::new(registry(&donn))
         .policy(BatchPolicy {
             max_batch: 8,
-            max_wait_us: 1_000,
+            max_wait_us: 60_000_000,
             queue_capacity: 2,
             threads: 1,
         })
         .retry_after_ms(75)
         .bind("127.0.0.1:0")
         .expect("bind");
+    let addr = server.addr();
     let image = Grid::full(GRID, GRID, 0.5);
+    let pair = v2_body(None, None, &[&image, &image]);
+    let parked = std::thread::spawn(move || {
+        let (status, body) =
+            client::request(addr, "POST", "/v2/logits", Some(&pair)).expect("post");
+        assert_eq!(status, 200, "parked request failed: {body}");
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.metrics().queue_depth < 2 {
+        assert!(Instant::now() < deadline, "parked request never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // One more input does not fit now; retrying later can.
     let (status, body) = client::request(
-        server.addr(),
+        addr,
         "POST",
         "/v2/logits",
-        Some(&v2_body(None, None, &[&image, &image, &image])),
+        Some(&v2_body(None, None, &[&image])),
     )
     .expect("post");
     let retry = assert_v2_error(status, 429, &body, "shed");
     assert_eq!(retry, Some(75), "configured retry hint must round-trip");
 
+    // More inputs than the queue can ever hold: no retry helps.
+    let (status, body) = client::request(
+        addr,
+        "POST",
+        "/v2/logits",
+        Some(&v2_body(None, None, &[&image, &image, &image])),
+    )
+    .expect("post");
+    assert_eq!(
+        assert_v2_error(status, 413, &body, "payload_too_large"),
+        None
+    );
+
     let snapshot = server.metrics();
     assert_eq!(snapshot.sheds_total, 1, "shed must be counted");
     server.shutdown();
+    parked.join().expect("parked client panicked");
 }
 
 #[test]

@@ -304,18 +304,19 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
     (status, String::from_utf8(body).expect("utf-8 body"))
 }
 
-/// The ordering property the write layer guarantees: per-model queues,
-/// work-stealing and admission degradation may scramble *dispatch* order
-/// freely, but one client's pipelined requests are answered strictly in
-/// the order they were sent.
+/// The ordering property the write layer guarantees: per-model groups
+/// and four dispatchers racing over the shared queue may scramble
+/// *dispatch* order freely, but one client's pipelined requests are
+/// answered strictly in the order they were sent.
 ///
 /// One raw socket sends a burst of back-to-back requests — alternating
-/// between two models (so jobs land in different per-shard queues and
-/// groups churn) and between `/v1` and `/v2` (so both dialects share the
+/// between two models (so jobs land in different model groups and groups
+/// churn) and between `/v1` and `/v2` (so both dialects share the
 /// response-slot queue) — then reads every response in order. Each
 /// request carries a distinct image, so any reordering is caught as a
 /// bit-exact logits mismatch, not just a plausible-looking answer.
-/// Swept over seeds to vary batch boundaries and steal timing.
+/// Swept over seeds to vary batch boundaries and which dispatcher runs
+/// each batch.
 #[test]
 fn pipelined_requests_answered_in_order_under_shard_churn() {
     let donn = model();
@@ -422,8 +423,8 @@ fn pipelined_requests_answered_in_order_under_shard_churn() {
             );
         }
     }
-    // With 4 shards and two models the burst pattern routinely crosses
-    // shards; the accounting must balance regardless of steal activity.
+    // With 4 dispatchers and two models the burst routinely runs on
+    // several dispatchers at once; the accounting must balance anyway.
     let snapshot = server.metrics();
     assert_eq!(snapshot.responses_2xx, (6 * REQUESTS) as u64);
     server.shutdown();
